@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -171,6 +172,16 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
+def _write_csv(args, command: str, header: list[str], rows) -> None:
+    """Write the config line, a header and rows to ``--out``, or stdout without it."""
+    target = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="", encoding="utf-8")
+    with target as out:
+        out.write(_effective_config(command, args) + "\n")
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_evaluate(args) -> int:
     data = _load_dataset(args)
     config = _config_from_args(args)
@@ -180,24 +191,21 @@ def cmd_evaluate(args) -> int:
         data, config, allowed, k=args.folds, seed=args.seed, min_support=args.min_support
     )
     header = ["allowed_error", "coverage", "rule_precision_mae", "rule_precision_truth_mae", "rule_length"]
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="", encoding="utf-8")
-    try:
-        out.write(_effective_config("evaluate", args) + "\n")
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.label,
-                    f"{row.coverage:.4f}",
-                    "" if row.rule_precision_mae is None else f"{row.rule_precision_mae:.4f}",
-                    "" if row.rule_precision_truth_mae is None else f"{row.rule_precision_truth_mae:.4f}",
-                    f"{row.rule_length:.2f}",
-                ]
-            )
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(
+        args,
+        "evaluate",
+        header,
+        (
+            [
+                row.label,
+                f"{row.coverage:.4f}",
+                "" if row.rule_precision_mae is None else f"{row.rule_precision_mae:.4f}",
+                "" if row.rule_precision_truth_mae is None else f"{row.rule_precision_truth_mae:.4f}",
+                f"{row.rule_length:.2f}",
+            ]
+            for row in rows
+        ),
+    )
     return EXIT_OK
 
 
@@ -216,18 +224,15 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         min_support=args.min_support,
     )
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="", encoding="utf-8")
-    try:
-        out.write(_effective_config("bench", args) + "\n")
-        writer = csv.writer(out)
-        writer.writerow(["allowed_error", "mean_time_seconds", "mean_kept_paths"])
-        for row in rows:
-            writer.writerow(
-                [f"{row.allowed_error:g}", f"{row.mean_time_seconds:.4f}", f"{row.mean_kept_paths:.2f}"]
-            )
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(
+        args,
+        "bench",
+        ["allowed_error", "mean_time_seconds", "mean_kept_paths"],
+        (
+            [f"{row.allowed_error:g}", f"{row.mean_time_seconds:.4f}", f"{row.mean_kept_paths:.2f}"]
+            for row in rows
+        ),
+    )
     return EXIT_OK
 
 

@@ -14,13 +14,6 @@ from .reduction import AllowedError, Rule, compose_rule, explain, reduce_paths
 
 
 @dataclass
-class MetricReport:
-    coverage: float
-    rule_precision_mae: float | None  # None when the rule covers nothing
-    rule_length: int
-
-
-@dataclass
 class ExperimentRow:
     label: str
     coverage: float

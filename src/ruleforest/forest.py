@@ -332,6 +332,43 @@ def save(forest: Forest, path) -> None:
         json.dump(doc, fh)
 
 
+_TREE_ARRAYS = {
+    "feature": np.int64,
+    "threshold": np.float64,
+    "left": np.int64,
+    "right": np.int64,
+    "value": np.float64,
+    "sample_count": np.int64,
+}
+
+
+def _tree_fault(arrays: dict[str, np.ndarray], d: int, m: int) -> str | None:
+    """The first structural fault of one tree's node arrays, or None.
+
+    Children must lie after their parent and inside the tree, which rules out
+    cycles and guarantees every traversal ends on a leaf.
+    """
+    feature = arrays["feature"]
+    n = feature.shape[0] if feature.ndim == 1 else 0
+    if n < 1:
+        return "needs at least one node"
+    shapes = {"threshold": (n,), "left": (n,), "right": (n,), "value": (n, m), "sample_count": (n,)}
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            return f"{name} has shape {arrays[name].shape}, expected {shape}"
+    internal = feature != LEAF
+    if (feature[internal] < 0).any() or (feature[internal] >= d).any():
+        return f"feature index outside [0, {d})"
+    parent = np.flatnonzero(internal)
+    for name in ("left", "right"):
+        child = arrays[name][internal]
+        if ((child <= parent) | (child >= n)).any():
+            return f"{name} child outside (node, {n})"
+    if not (np.isfinite(arrays["threshold"]).all() and np.isfinite(arrays["value"]).all()):
+        return "non-finite threshold or value"
+    return None
+
+
 def load(path) -> Forest:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -344,26 +381,28 @@ def load(path) -> Forest:
         raise ModelError(f"{path}: unsupported model version {doc.get('version')!r}")
     try:
         config = ForestConfig(**doc["config"])
+        feature_names = tuple(doc["feature_names"])
+        target_names = tuple(doc["target_names"])
+        bounds = np.asarray(doc["feature_bounds"], dtype=np.float64)
         trees = [
-            Tree(
-                feature=np.asarray(t["feature"], dtype=np.int64),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int64),
-                right=np.asarray(t["right"], dtype=np.int64),
-                value=np.asarray(t["value"], dtype=np.float64),
-                sample_count=np.asarray(t["sample_count"], dtype=np.int64),
-            )
+            {name: np.asarray(t[name], dtype=dtype) for name, dtype in _TREE_ARRAYS.items()}
             for t in doc["trees"]
         ]
-        forest = Forest(
-            trees=trees,
-            config=config,
-            feature_names=tuple(doc["feature_names"]),
-            target_names=tuple(doc["target_names"]),
-            feature_bounds=np.asarray(doc["feature_bounds"], dtype=np.float64),
-        )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{path}: corrupt model file ({exc})") from None
-    if not forest.trees:
+    if not trees:
         raise ModelError(f"{path}: model has no trees")
-    return forest
+    d, m = len(feature_names), len(target_names)
+    if bounds.shape != (d, 2) or not np.isfinite(bounds).all():
+        raise ModelError(f"{path}: feature_bounds must be a finite ({d}, 2) array")
+    for t, arrays in enumerate(trees):
+        fault = _tree_fault(arrays, d, m)
+        if fault is not None:
+            raise ModelError(f"{path}: tree {t}: {fault}")
+    return Forest(
+        trees=[Tree(**arrays) for arrays in trees],
+        config=config,
+        feature_names=feature_names,
+        target_names=target_names,
+        feature_bounds=bounds,
+    )

@@ -86,31 +86,23 @@ def mine(paths: list[Path], min_support: float = 0.1) -> AssociationModel:
         raise ValueError("need at least one path")
     if not 0.0 < min_support <= 1.0:
         raise ValueError("min_support must be in (0, 1]")
-    transactions = [p.feature_set for p in paths]
-    n = len(transactions)
-    features = sorted(set().union(*transactions)) if any(transactions) else []
+    n = len(paths)
+    features = sorted(set().union(*(p.conditions for p in paths)))
+    used = np.asarray([[f in p.conditions for f in features] for p in paths], dtype=np.float64)
+    support = ((used.T @ used) / n).tolist()  # [j][k]: share of paths using both
 
-    supports: dict[frozenset[int], float] = {}
-    for f in features:
-        supports[frozenset((f,))] = sum(1 for t in transactions if f in t) / n
-    for f, g in combinations(features, 2):
-        pair = frozenset((f, g))
-        support = sum(1 for t in transactions if pair <= t) / n
-        if support >= min_support:
-            supports[pair] = support
-
+    supports = {frozenset((f,)): support[j][j] for j, f in enumerate(features)}
     rules: list[tuple[int, int, float]] = []
     confidences: dict[int, list[float]] = {f: [] for f in features}
-    for f, g in combinations(features, 2):
-        pair_support = supports.get(frozenset((f, g)))
-        if pair_support is None:
+    for (j, f), (k, g) in combinations(enumerate(features), 2):
+        pair_support = support[j][k]
+        if pair_support < min_support:
             continue
-        for a, b in ((f, g), (g, f)):
-            base = supports[frozenset((a,))]
-            if base > 0:
-                conf = pair_support / base
-                rules.append((a, b, conf))
-                confidences[a].append(conf)
+        supports[frozenset((f, g))] = pair_support
+        for a, b, base in ((f, g, support[j][j]), (g, f, support[k][k])):
+            conf = pair_support / base
+            rules.append((a, b, conf))
+            confidences[a].append(conf)
     rules.sort(key=lambda r: (r[0], r[1]))
 
     scores = {

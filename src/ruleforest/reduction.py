@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,8 @@ class ReductionResult:
     local_errors: np.ndarray
     adjusted_prediction: np.ndarray
     original_prediction: np.ndarray
+    # per-target (low, high) the forest can predict while the kept trees stay on their leaves
+    envelope: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -87,11 +90,54 @@ class ConclusiveReport:
     envelope_violations: int
 
 
-def _tree_stats(paths: list[Path], forest: Forest):
+class _StepGaps(NamedTuple):
+    """Per-tree rows (T, m), then totals (steps, m) over each step's excluded trees."""
+
+    preds: np.ndarray  # leaf prediction per tree
+    mins: np.ndarray  # lowest leaf per tree
+    maxs: np.ndarray  # highest leaf per tree
+    take_low: np.ndarray  # low extreme chosen: per tree (per_tree) or per step (per_target)
+    low: np.ndarray  # summed prediction minus lowest leaf
+    high: np.ndarray  # summed highest leaf minus prediction
+    shift: np.ndarray  # summed substituted minus actual prediction
+    abs_shift: np.ndarray  # summed |substituted minus actual prediction|
+
+
+def _step_gaps(paths: list[Path], forest: Forest, entry: np.ndarray, n_steps: int, substitution: str):
+    """Stack the leaf predictions and extremes once and total the gaps of the
+    trees each step excludes (tree i at step k when ``entry[i] > k``).
+
+    Rows are summed by entry step, then suffix-summed from the last step back,
+    so a step that excludes nothing totals exactly 0. ``per_target`` picks each
+    step's side from the totals, ``per_tree`` each tree's side from its row.
+    """
+    if substitution not in SUBSTITUTIONS:
+        raise ValueError(f"unknown substitution {substitution!r}")
     preds = np.vstack([p.leaf_prediction for p in paths])
     mins = np.vstack([t.leaf_min for t in forest.trees])
     maxs = np.vstack([t.leaf_max for t in forest.trees])
-    return preds, mins, maxs
+    low, high = preds - mins, maxs - preds
+    take_low = low >= high
+    rows = np.hstack([low, high, np.where(take_low, low, 0.0), np.where(take_low, 0.0, high)])
+    by_entry = np.zeros((n_steps + 1, rows.shape[1]))
+    np.add.at(by_entry, entry, rows)
+    totals = np.cumsum(by_entry[::-1], axis=0)[::-1][1:]
+    low_total, high_total, low_taken, high_taken = np.hsplit(totals, 4)
+    if substitution == "per_target":
+        take_low = low_total >= high_total
+        low_taken, high_taken = np.where(take_low, low_total, 0.0), np.where(take_low, 0.0, high_total)
+    return _StepGaps(
+        preds, mins, maxs, take_low, low_total, high_total, high_taken - low_taken, low_taken + high_taken
+    )
+
+
+def _kept_step(paths: list[Path], kept, forest: Forest, substitution: str):
+    """The excluded mask and the gaps of the one step that keeps ``kept``."""
+    kept = frozenset(kept)
+    if not kept:
+        raise ValueError("kept set must be non-empty")
+    excluded = np.asarray([i not in kept for i in range(len(paths))])
+    return excluded, _step_gaps(paths, forest, excluded.astype(np.int64), 1, substitution)
 
 
 def substituted_predictions(
@@ -105,26 +151,9 @@ def substituted_predictions(
     per target; under ``per_tree`` each tree independently takes whichever of
     its extremes is farthest from its own prediction.
     """
-    if substitution not in SUBSTITUTIONS:
-        raise ValueError(f"unknown substitution {substitution!r}")
-    kept = frozenset(kept)
-    if not kept:
-        raise ValueError("kept set must be non-empty")
-    preds, mins, maxs = _tree_stats(paths, forest)
-    r_preds = preds.copy()
-    excluded = np.asarray([i for i in range(len(paths)) if i not in kept], dtype=np.int64)
-    if excluded.size == 0:
-        return preds, r_preds
-    if substitution == "per_tree":
-        low_gap = preds[excluded] - mins[excluded]
-        high_gap = maxs[excluded] - preds[excluded]
-        r_preds[excluded] = np.where(low_gap >= high_gap, mins[excluded], maxs[excluded])
-    else:
-        low_total = (preds[excluded] - mins[excluded]).sum(axis=0)
-        high_total = (maxs[excluded] - preds[excluded]).sum(axis=0)
-        take_low = low_total >= high_total
-        r_preds[excluded] = np.where(take_low, mins[excluded], maxs[excluded])
-    return preds, r_preds
+    excluded, gaps = _kept_step(paths, kept, forest, substitution)
+    extremes = np.where(gaps.take_low, gaps.mins, gaps.maxs)
+    return gaps.preds, np.where(excluded[:, None], extremes, gaps.preds)
 
 
 def local_error(
@@ -132,8 +161,8 @@ def local_error(
 ) -> np.ndarray:
     """Per-target mean absolute gap between actual and substituted tree
     predictions; zero when every tree is kept."""
-    preds, r_preds = substituted_predictions(paths, kept, forest, substitution)
-    return np.abs(preds - r_preds).mean(axis=0)
+    _, gaps = _kept_step(paths, kept, forest, substitution)
+    return gaps.abs_shift[0] / len(paths)
 
 
 def adjusted_prediction(
@@ -141,8 +170,8 @@ def adjusted_prediction(
 ) -> np.ndarray:
     """Forest mean recomputed with excluded trees at their substituted
     extremes."""
-    _, r_preds = substituted_predictions(paths, kept, forest, substitution)
-    return r_preds.mean(axis=0)
+    _, gaps = _kept_step(paths, kept, forest, substitution)
+    return gaps.preds.mean(axis=0) + gaps.shift[0] / len(paths)
 
 
 def reduce_paths(
@@ -158,36 +187,31 @@ def reduce_paths(
 
     Kept paths are those whose conditions only mention enriched features.
     Steps with an empty kept set never pass; once every feature is in, all
-    paths are kept and the local error is zero, so the loop always
-    terminates with an accepted result.
+    paths are kept and the local error is zero, so the enrichment always
+    ends with an accepted result. A path enters at the step that adds its
+    last-ranked feature and stays kept, so one pass over the entry steps
+    yields every step's kept set and local error.
     """
     n = len(paths)
-    feature_sets = [p.feature_set for p in paths]
     ranking = rank_features(assoc, rank_order)
-    original = np.vstack([p.leaf_prediction for p in paths]).mean(axis=0)
-
-    feature_set: set[int] = set()
-    steps = [None] + ranking  # step 0 tests the empty feature set
-    kept: frozenset[int] = frozenset()
-    errors = None
-    for f in steps:
-        if f is not None:
-            feature_set.add(f)
-        kept = frozenset(i for i in range(n) if feature_sets[i] <= feature_set)
-        if not kept:
-            continue
-        errors = local_error(paths, kept, forest, substitution)
-        if allowed.accepts(errors):
-            break
-    if errors is None:  # unreachable: the full feature set keeps every path
-        raise RuntimeError("reduction loop ended without a kept set")
+    n_steps = len(ranking) + 1  # step k tests the first k ranked features
+    step_of = {f: k for k, f in enumerate(ranking, start=1)}
+    entry = np.asarray([max((step_of.get(f, n_steps) for f in p.conditions), default=0) for p in paths])
+    gaps = _step_gaps(paths, forest, entry, n_steps, substitution)
+    errors = gaps.abs_shift / n
+    step = next((k for k in range(int(entry.min()), n_steps) if allowed.accepts(errors[k])), None)
+    if step is None:  # unreachable: the full feature set keeps every path
+        raise RuntimeError("reduction ended without an accepted kept set")
+    kept = frozenset(np.flatnonzero(entry <= step).tolist())
+    original = gaps.preds.mean(axis=0)
     return ReductionResult(
         kept=kept,
         excluded=frozenset(range(n)) - kept,
-        feature_set=frozenset(feature_set),
-        local_errors=errors,
-        adjusted_prediction=adjusted_prediction(paths, kept, forest, substitution),
+        feature_set=frozenset(ranking[:step]),
+        local_errors=errors[step],
+        adjusted_prediction=original + gaps.shift[step] / n,
         original_prediction=original,
+        envelope=(original - gaps.low[step] / n, original + gaps.high[step] / n),
     )
 
 
@@ -260,19 +284,6 @@ def render_rule(rule: Rule, feature_names, target_names, precision: int = 2) -> 
     return f"then {consequents}"
 
 
-def reduction_envelope(reduction: ReductionResult, paths: list[Path], forest: Forest):
-    """Per-target [low, high] bounds on what the forest can predict while all
-    kept trees stay on their leaves."""
-    preds, mins, maxs = _tree_stats(paths, forest)
-    kept = np.asarray(sorted(reduction.kept), dtype=np.int64)
-    excl = np.asarray(sorted(reduction.excluded), dtype=np.int64)
-    kept_sum = preds[kept].sum(axis=0)
-    n = len(paths)
-    if excl.size:
-        return (kept_sum + mins[excl].sum(axis=0)) / n, (kept_sum + maxs[excl].sum(axis=0)) / n
-    return kept_sum / n, kept_sum / n
-
-
 def check_conclusive(
     rule: Rule,
     reduction: ReductionResult,
@@ -297,11 +308,7 @@ def check_conclusive(
         lo[term.feature_index] = term.lo
         hi[term.feature_index] = term.hi
     samples = rng.uniform(lo, hi, size=(trials, forest.d))
-
-    from .paths import extract_paths  # local import avoids a module cycle
-
-    paths = extract_paths(forest, x)
-    env_lo, env_hi = reduction_envelope(reduction, paths, forest)
+    env_lo, env_hi = reduction.envelope
     preds = predict_batch(forest, samples)
     original = predict(forest, x)
     tolerance = 1e-9  # floating-point slack on the envelope test

@@ -173,6 +173,27 @@ def test_bench_writes_csv(capsys, tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["evaluate", "--targets", "t0,t1", "--estimators", "5", "--allowed-errors", "0.1,1.0", "--folds", "3"],
+         "allowed_error,coverage"),
+        (["bench", "--synthetic", "60,4,2", "--estimators", "5", "--allowed-errors", "0.1,0.5", "--instances", "3"],
+         "allowed_error,mean_time_seconds"),
+    ],
+)
+def test_csv_commands_write_stdout_without_out(workspace, capsys, argv, header):
+    _, data, _ = workspace
+    if argv[0] == "evaluate":
+        argv = argv + ["--data", str(data)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith(f"# ruleforest {argv[0]}")
+    assert lines[1].startswith(header)
+    assert len(lines) == 4
+
+
 def test_inspect(workspace, capsys):
     _, _, model = workspace
     code, out, _ = run(capsys, ["inspect", "--model", str(model)])
@@ -199,6 +220,20 @@ def test_missing_model_is_data_error(capsys, tmp_path):
     code, _, err = run(capsys, ["inspect", "--model", str(tmp_path / "nope.model")])
     assert code == 2
     assert "error:" in err
+
+
+def test_model_with_root_cycle_is_data_error(workspace, capsys, tmp_path):
+    _, _, model = workspace
+    doc = json.loads(model.read_text())
+    doc["trees"][0]["left"][0] = doc["trees"][0]["right"][0] = 0
+    broken = tmp_path / "cycle.model"
+    broken.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys, ["explain", "--model", str(broken), "--instance", "0,0,0,0", "--allowed-error", "0.2"]
+    )
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
 
 
 def test_unknown_flag_is_usage_error(capsys, workspace):

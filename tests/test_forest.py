@@ -156,6 +156,40 @@ def test_load_not_a_model(tmp_path):
         load(path)
 
 
+def _set(tree, key, index, value):
+    tree[key][index] = value
+
+
+CORRUPTIONS = {
+    "root_cycle": lambda doc: (_set(doc["trees"][0], "left", 0, 0), _set(doc["trees"][0], "right", 0, 0)),
+    "feature_too_large": lambda doc: _set(doc["trees"][0], "feature", 0, 7),
+    "feature_negative": lambda doc: _set(doc["trees"][0], "feature", 0, -2),
+    "child_too_large": lambda doc: _set(doc["trees"][0], "right", 0, 10**6),
+    "value_short": lambda doc: doc["trees"][0]["value"].pop(),
+    "value_wrong_width": lambda doc: _set(doc["trees"][0], "value", -1, [0.0]),
+    "sample_count_short": lambda doc: doc["trees"][0]["sample_count"].pop(),
+    "threshold_nan": lambda doc: _set(doc["trees"][0], "threshold", 0, float("nan")),
+    "value_inf": lambda doc: _set(doc["trees"][0], "value", -1, [float("inf"), 0.0]),
+    "no_nodes": lambda doc: doc["trees"][0].update(
+        {key: [] for key in ("feature", "threshold", "left", "right", "value", "sample_count")}
+    ),
+    "bounds_short": lambda doc: doc["feature_bounds"].pop(),
+    "bounds_nan": lambda doc: _set(doc, "feature_bounds", 0, [float("nan"), 1.0]),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_load_rejects_corrupt_tree(tmp_path, corruption):
+    path = tmp_path / "m.model"
+    save(fit(make_synthetic(40, 3, 2, seed=1), ForestConfig(n_estimators=3, seed=0)), path)
+    doc = json.loads(path.read_text())
+    assert doc["trees"][0]["feature"][0] != -1  # the root splits, so it has children
+    CORRUPTIONS[corruption](doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError):
+        load(path)
+
+
 def test_mean_bounded_by_tree_extremes(rng):
     forest = random_forest(rng, n_trees=5, d=3, m=2, depth=4)
     for _ in range(50):

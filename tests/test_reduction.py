@@ -208,6 +208,70 @@ def test_reduction_result_invariants(rng):
         assert paths[i].feature_set <= reduction.feature_set
 
 
+def loop_oracle(paths, assoc, allowed, forest, rank_order, substitution):
+    """Reference reduction: re-test the kept set and substitute the excluded
+    trees at every enrichment step, then bound the forest with the kept trees'
+    predictions plus the excluded trees' leaf extremes."""
+    preds = np.vstack([p.leaf_prediction for p in paths])
+    mins = np.vstack([t.leaf_min for t in forest.trees])
+    maxs = np.vstack([t.leaf_max for t in forest.trees])
+    n = len(paths)
+
+    def substituted(kept):
+        r_preds = preds.copy()
+        excluded = np.asarray([i for i in range(n) if i not in kept], dtype=np.int64)
+        if excluded.size == 0:
+            return r_preds
+        if substitution == "per_tree":
+            low_gap = preds[excluded] - mins[excluded]
+            high_gap = maxs[excluded] - preds[excluded]
+            r_preds[excluded] = np.where(low_gap >= high_gap, mins[excluded], maxs[excluded])
+        else:
+            low_total = (preds[excluded] - mins[excluded]).sum(axis=0)
+            high_total = (maxs[excluded] - preds[excluded]).sum(axis=0)
+            r_preds[excluded] = np.where(low_total >= high_total, mins[excluded], maxs[excluded])
+        return r_preds
+
+    feature_set = set()
+    for f in [None] + rank_features(assoc, rank_order):
+        if f is not None:
+            feature_set.add(f)
+        kept = frozenset(i for i in range(n) if paths[i].feature_set <= feature_set)
+        if not kept:
+            continue
+        errors = np.abs(preds - substituted(kept)).mean(axis=0)
+        if allowed.accepts(errors):
+            break
+    keep = np.asarray(sorted(kept), dtype=np.int64)
+    excl = np.asarray([i for i in range(n) if i not in kept], dtype=np.int64)
+    kept_sum = preds[keep].sum(axis=0)
+    envelope = ((kept_sum + mins[excl].sum(axis=0)) / n, (kept_sum + maxs[excl].sum(axis=0)) / n)
+    return kept, frozenset(feature_set), errors, substituted(kept).mean(axis=0), envelope
+
+
+@pytest.mark.parametrize("substitution", ["per_target", "per_tree"])
+@pytest.mark.parametrize("rank_order", ["ascending", "descending"])
+def test_single_pass_matches_loop_oracle(rng, substitution, rank_order):
+    for _ in range(15):
+        m = int(rng.integers(1, 4))
+        forest, _, paths = forest_and_paths(rng, n_trees=int(rng.integers(2, 12)), d=4, m=m, depth=4)
+        assoc = mine(paths)
+        budgets = [AllowedError.global_mean(v) for v in (0.0, float(rng.uniform(0, 2)), 1e18)]
+        budgets += [AllowedError.per_target(v) for v in (np.zeros(m), rng.uniform(0, 2, m), np.full(m, 1e18))]
+        for allowed in budgets:
+            got = reduce_paths(paths, assoc, allowed, forest, rank_order, substitution)
+            kept, feature_set, errors, adjusted, envelope = loop_oracle(
+                paths, assoc, allowed, forest, rank_order, substitution
+            )
+            assert got.kept == kept
+            assert got.feature_set == feature_set
+            np.testing.assert_allclose(got.local_errors, errors, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.adjusted_prediction, adjusted, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.envelope, envelope, rtol=0, atol=1e-12)
+            if not got.excluded:
+                np.testing.assert_array_equal(got.local_errors, 0.0)
+
+
 # --- default allowed error ---------------------------------------------------
 
 
