@@ -13,7 +13,7 @@ import numpy as np
 from . import __version__
 from .dataset import Dataset, DatasetError, load_csv
 from .evaluation import make_synthetic, run_experiment, scalability_bench
-from .forest import Forest, ForestConfig, ModelError, evaluate_mae, fit, load, save
+from .forest import LEAF, Forest, ForestConfig, ModelError, evaluate_mae, fit, load, save
 from .reduction import AllowedError, check_conclusive, default_allowed_error, explain
 
 EXIT_OK = 0
@@ -39,6 +39,21 @@ def _parse_max_features(text: str):
         return float(text)
     except ValueError:
         raise UsageError(f"invalid --max-features value {text!r}") from None
+
+
+def _int_at_least(low: int):
+    """An argparse type for integers >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -156,7 +171,7 @@ def cmd_explain(args) -> int:
         "original_prediction": result.reduction.original_prediction.tolist(),
         "elapsed_seconds": result.elapsed_seconds,
     }
-    if args.check_conclusive:
+    if args.check_conclusive is not None:
         probe = check_conclusive(
             result.rule, result.reduction, forest, x, trials=args.check_conclusive, seed=args.seed
         )
@@ -238,17 +253,15 @@ def cmd_bench(args) -> int:
 
 def cmd_inspect(args) -> int:
     forest = load(args.model)
-    depths = [tree.depth() for tree in forest.trees]
-    leaf_counts = [int((tree.feature == -1).sum()) for tree in forest.trees]
+    depths = forest.depths
+    leaf_counts = np.add.reduceat((forest.feature == LEAF).astype(np.int64), forest.roots)
     print(_effective_config("inspect", args))
     print(f"trees: {forest.n_trees}")
     print(f"features: {forest.d} ({', '.join(forest.feature_names)})")
     print(f"targets: {forest.m} ({', '.join(forest.target_names)})")
-    print(f"depth: min {min(depths)} mean {np.mean(depths):.1f} max {max(depths)}")
-    print(f"leaves per tree: min {min(leaf_counts)} mean {np.mean(leaf_counts):.1f} max {max(leaf_counts)}")
-    for t, name in enumerate(forest.target_names):
-        lo = min(float(tree.leaf_min[t]) for tree in forest.trees)
-        hi = max(float(tree.leaf_max[t]) for tree in forest.trees)
+    print(f"depth: min {depths.min()} mean {depths.mean():.1f} max {depths.max()}")
+    print(f"leaves per tree: min {leaf_counts.min()} mean {leaf_counts.mean():.1f} max {leaf_counts.max()}")
+    for name, lo, hi in zip(forest.target_names, forest.leaf_min.min(axis=0), forest.leaf_max.max(axis=0)):
         print(f"leaf extremes[{name}]: [{lo:.4f}, {hi:.4f}]")
     for f, name in enumerate(forest.feature_names):
         print(f"feature_bounds[{name}]: [{forest.feature_bounds[f, 0]:.4f}, {forest.feature_bounds[f, 1]:.4f}]")
@@ -281,8 +294,8 @@ def build_parser() -> _Parser:
     p.add_argument("--scheme", choices=["global", "per-target"])
     p.add_argument("--min-support", type=float, default=0.1)
     p.add_argument("--rank-order", choices=["asc", "desc"], default="asc")
-    p.add_argument("--precision", type=int, default=2)
-    p.add_argument("--check-conclusive", type=int, metavar="N", help="probe with N perturbations")
+    p.add_argument("--precision", type=_int_at_least(0), default=2)
+    p.add_argument("--check-conclusive", type=_int_at_least(1), metavar="N", help="probe with N perturbations")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="write the sidecar report JSON here")
     p.set_defaults(func=cmd_explain)
@@ -301,7 +314,7 @@ def build_parser() -> _Parser:
     p.add_argument("--noise", type=float, default=0.1)
     _add_forest_flags(p)
     p.add_argument("--allowed-errors", required=True, help="ascending comma-separated budgets")
-    p.add_argument("--instances", type=int, default=10)
+    p.add_argument("--instances", type=_int_at_least(1), default=10)
     p.add_argument("--min-support", type=float, default=0.1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)

@@ -1,8 +1,18 @@
 """Multi-output regression random forest with explainer-facing internals.
 
-Trees are stored as flat arrays so prediction over instance batches is
-vectorized. Each tree also caches its per-target leaf extremes, which the
-reduction step needs to bound what an excluded tree could have predicted.
+Each tree is grown or loaded as flat node arrays (``Tree``). Building a
+``Forest`` packs every tree's nodes into one set of arrays with one root
+offset per tree: child links become global node indices and leaves link to
+themselves, so a fixed number of steps (the deepest tree's depth) routes
+every (tree, row) pair to its leaf. ``Forest.walk`` takes those steps for all
+trees at once, one depth level per step, over a (trees, rows) node array;
+``predict``, ``predict_batch`` and path extraction all use it. A ``Tree``'s
+feature, threshold and value arrays are views into the packed arrays, and
+the per-target leaf extremes, which the reduction step needs to bound what an
+excluded tree could have predicted, are stacked once as (trees, m) arrays.
+The structure is checked when the forest is built (features in range,
+children after their parent inside the same tree, finite numbers), so the
+walk ends on every forest that can be built.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ MODEL_FORMAT = "ruleforest-model"
 MODEL_VERSION = 1
 
 LEAF = -1  # sentinel in the per-node feature array
+WALK_CHUNK_ELEMENTS = 8192  # (tree, row) pairs per predict_batch step
 
 
 class ModelError(ValueError):
@@ -59,9 +70,12 @@ class Tree:
     """Flat binary tree. ``feature[i] == LEAF`` marks a leaf node.
 
     Routing convention: an instance with value <= threshold goes left,
-    otherwise right. ``value`` holds the leaf prediction vector for leaves
-    (zeros elsewhere); ``leaf_min``/``leaf_max`` are per-target extremes over
-    all leaf predictions.
+    otherwise right. ``left``/``right`` are node indices within this tree.
+    ``value`` holds the leaf prediction vector for leaves (zeros elsewhere).
+    Once the tree is part of a ``Forest``, ``feature``, ``threshold`` and
+    ``value`` are views into the forest's packed arrays, and
+    ``leaf_min``/``leaf_max`` (per-target extremes over all leaf predictions)
+    are its rows of the forest's stacked extremes.
     """
 
     feature: np.ndarray
@@ -70,13 +84,8 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
     sample_count: np.ndarray
-    leaf_min: np.ndarray = field(init=False)
-    leaf_max: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        leaves = self.value[self.feature == LEAF]
-        self.leaf_min = leaves.min(axis=0)
-        self.leaf_max = leaves.max(axis=0)
+    leaf_min: np.ndarray | None = field(init=False, default=None)
+    leaf_max: np.ndarray | None = field(init=False, default=None)
 
     @property
     def n_nodes(self) -> int:
@@ -91,36 +100,73 @@ class Tree:
                 node = self.right[node]
         return node
 
-    def leaves_for_batch(self, X: np.ndarray) -> np.ndarray:
-        rows = np.arange(X.shape[0])
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[node] != LEAF
-        while active.any():
-            idx = node[active]
-            go_left = X[rows[active], self.feature[idx]] <= self.threshold[idx]
-            node[active] = np.where(go_left, self.left[idx], self.right[idx])
-            active = self.feature[node] != LEAF
-        return node
-
-    def depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=np.int64)
-        best = 0
-        for node in range(self.n_nodes):
-            if self.feature[node] == LEAF:
-                best = max(best, depths[node])
-            else:
-                depths[self.left[node]] = depths[node] + 1
-                depths[self.right[node]] = depths[node] + 1
-        return int(best)
-
 
 @dataclass
 class Forest:
+    """Trees plus their nodes packed into one set of arrays.
+
+    ``feature``, ``threshold`` and ``value`` hold every tree's nodes back to
+    back; tree ``t`` starts at node ``roots[t]``. Building the forest checks
+    and packs the trees once; they must not be changed afterwards.
+    """
+
     trees: list[Tree]
     config: ForestConfig
     feature_names: tuple[str, ...]
     target_names: tuple[str, ...]
     feature_bounds: np.ndarray  # shape (d, 2): training min/max per feature
+    roots: np.ndarray = field(init=False, repr=False)  # (T,) first node of each tree
+    feature: np.ndarray = field(init=False, repr=False)  # (N,) split feature, LEAF at leaves
+    threshold: np.ndarray = field(init=False, repr=False)  # (N,)
+    value: np.ndarray = field(init=False, repr=False)  # (N, m) leaf predictions
+    leaf_min: np.ndarray = field(init=False, repr=False)  # (T, m) lowest leaf value per tree
+    leaf_max: np.ndarray = field(init=False, repr=False)  # (T, m) highest leaf value per tree
+    depths: np.ndarray = field(init=False, repr=False)  # (T,) longest root-to-leaf path
+    # (2N,): node i's right child at 2i and left child at 2i + 1, as global ids
+    _children: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not self.trees:
+            raise ModelError("forest has no trees")
+        sizes = np.asarray([tree.n_nodes for tree in self.trees], dtype=np.int64)
+        if (sizes < 1).any():
+            raise ModelError(f"tree {int(np.argmax(sizes < 1))}: needs at least one node")
+        self.roots = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        self.feature = np.concatenate([tree.feature for tree in self.trees])
+        self.threshold = np.concatenate([tree.threshold for tree in self.trees])
+        self.value = np.concatenate([tree.value for tree in self.trees])
+        tree_of = np.repeat(np.arange(self.n_trees), sizes)
+        node = np.arange(self.feature.shape[0])
+        leaf = self.feature == LEAF
+        offset = self.roots[tree_of]
+        left = np.where(leaf, node, np.concatenate([tree.left for tree in self.trees]) + offset)
+        right = np.where(leaf, node, np.concatenate([tree.right for tree in self.trees]) + offset)
+        end = offset + sizes[tree_of]
+        faults = (
+            (~leaf & ((self.feature < 0) | (self.feature >= self.d)), f"feature index outside [0, {self.d})"),
+            (~leaf & ((left <= node) | (left >= end)), "left child outside (node, tree end)"),
+            (~leaf & ((right <= node) | (right >= end)), "right child outside (node, tree end)"),
+            (~(np.isfinite(self.threshold) & np.isfinite(self.value).all(axis=1)), "non-finite threshold or value"),
+        )
+        for bad, fault in faults:
+            if bad.any():
+                raise ModelError(f"tree {int(tree_of[np.argmax(bad)])}: {fault}")
+        self._children = np.column_stack([right, left]).ravel()
+        # children lie after their parent, so each tree's last node is a leaf
+        self.leaf_min = np.minimum.reduceat(np.where(leaf[:, None], self.value, np.inf), self.roots)
+        self.leaf_max = np.maximum.reduceat(np.where(leaf[:, None], self.value, -np.inf), self.roots)
+        self.depths = np.zeros(self.n_trees, dtype=np.int64)
+        frontier, level = self.roots, 0
+        while frontier.size:  # ends because children lie after their parent
+            self.depths[tree_of[frontier]] = level
+            inner = frontier[~leaf[frontier]]
+            frontier = np.unique(np.concatenate([left[inner], right[inner]]))
+            level += 1
+        for t, (tree, start, n) in enumerate(zip(self.trees, self.roots.tolist(), sizes.tolist())):
+            tree.feature = self.feature[start : start + n]
+            tree.threshold = self.threshold[start : start + n]
+            tree.value = self.value[start : start + n]
+            tree.leaf_min, tree.leaf_max = self.leaf_min[t], self.leaf_max[t]
 
     @property
     def n_trees(self) -> int:
@@ -142,6 +188,27 @@ class Forest:
             raise ModelError("instance contains non-finite values")
         return x
 
+    def walk(self, X: np.ndarray, visit=None) -> np.ndarray:
+        """Global leaf node ids, shape (T, rows), of every row of X in every tree.
+
+        All trees take one depth level per step together; a row already on
+        its leaf stays there, because leaves link to themselves. Before each
+        step, ``visit(feature, threshold, go_left)`` may look at the (T, rows)
+        split features (LEAF at leaves), thresholds and ``<=`` tests.
+        """
+        flat = X.ravel()
+        row_start = np.arange(X.shape[0]) * X.shape[1]
+        node = np.repeat(self.roots[:, None], X.shape[0], axis=1)
+        for _ in range(int(self.depths.max())):
+            feature = np.take(self.feature, node)
+            threshold = np.take(self.threshold, node)
+            # at a leaf, feature -1 reads a neighbouring value no step depends on
+            go_left = np.take(flat, row_start + feature) <= threshold
+            if visit is not None:
+                visit(feature, threshold, go_left)
+            node = np.take(self._children, 2 * node + go_left)
+        return node
+
 
 def predict_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
     return tree.value[tree.leaf_for(np.asarray(x, dtype=np.float64))]
@@ -150,20 +217,23 @@ def predict_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
 def predict(forest: Forest, x) -> np.ndarray:
     """Componentwise mean of the per-tree leaf predictions."""
     x = forest._check_vector(x)
-    total = np.zeros(forest.m)
-    for tree in forest.trees:
-        total += tree.value[tree.leaf_for(x)]
-    return total / forest.n_trees
+    return forest.value[forest.walk(x[None, :])[:, 0]].sum(axis=0) / forest.n_trees
 
 
 def predict_batch(forest: Forest, X) -> np.ndarray:
-    """Forest predictions for an (n, d) batch; returns an (n, m) array."""
+    """Forest predictions for an (n, d) batch; returns an (n, m) array.
+
+    Rows are walked in chunks of about WALK_CHUNK_ELEMENTS (tree, row) pairs,
+    which keeps the walk's temporaries small.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.d:
         raise ModelError(f"expected an (n, {forest.d}) matrix, got shape {X.shape}")
-    total = np.zeros((X.shape[0], forest.m))
-    for tree in forest.trees:
-        total += tree.value[tree.leaves_for_batch(X)]
+    total = np.empty((X.shape[0], forest.m))
+    step = max(1, WALK_CHUNK_ELEMENTS // forest.n_trees)
+    for start in range(0, X.shape[0], step):
+        leaves = forest.walk(X[start : start + step])
+        total[start : start + step] = forest.value[leaves].sum(axis=0)
     return total / forest.n_trees
 
 
@@ -342,11 +412,11 @@ _TREE_ARRAYS = {
 }
 
 
-def _tree_fault(arrays: dict[str, np.ndarray], d: int, m: int) -> str | None:
-    """The first structural fault of one tree's node arrays, or None.
+def _shape_fault(arrays: dict[str, np.ndarray], m: int) -> str | None:
+    """The first mismatch between one tree's node array shapes, or None.
 
-    Children must lie after their parent and inside the tree, which rules out
-    cycles and guarantees every traversal ends on a leaf.
+    The structure itself (feature range, child order, finite numbers) is
+    checked when the forest is built.
     """
     feature = arrays["feature"]
     n = feature.shape[0] if feature.ndim == 1 else 0
@@ -356,16 +426,6 @@ def _tree_fault(arrays: dict[str, np.ndarray], d: int, m: int) -> str | None:
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             return f"{name} has shape {arrays[name].shape}, expected {shape}"
-    internal = feature != LEAF
-    if (feature[internal] < 0).any() or (feature[internal] >= d).any():
-        return f"feature index outside [0, {d})"
-    parent = np.flatnonzero(internal)
-    for name in ("left", "right"):
-        child = arrays[name][internal]
-        if ((child <= parent) | (child >= n)).any():
-            return f"{name} child outside (node, {n})"
-    if not (np.isfinite(arrays["threshold"]).all() and np.isfinite(arrays["value"]).all()):
-        return "non-finite threshold or value"
     return None
 
 
@@ -390,19 +450,21 @@ def load(path) -> Forest:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{path}: corrupt model file ({exc})") from None
-    if not trees:
-        raise ModelError(f"{path}: model has no trees")
+    del doc  # release the parsed document before the trees are packed
     d, m = len(feature_names), len(target_names)
     if bounds.shape != (d, 2) or not np.isfinite(bounds).all():
         raise ModelError(f"{path}: feature_bounds must be a finite ({d}, 2) array")
     for t, arrays in enumerate(trees):
-        fault = _tree_fault(arrays, d, m)
+        fault = _shape_fault(arrays, m)
         if fault is not None:
             raise ModelError(f"{path}: tree {t}: {fault}")
-    return Forest(
-        trees=[Tree(**arrays) for arrays in trees],
-        config=config,
-        feature_names=feature_names,
-        target_names=target_names,
-        feature_bounds=bounds,
-    )
+    try:
+        return Forest(
+            trees=[Tree(**arrays) for arrays in trees],
+            config=config,
+            feature_names=feature_names,
+            target_names=target_names,
+            feature_bounds=bounds,
+        )
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None

@@ -45,31 +45,34 @@ class AssociationModel:
 
 
 def extract_paths(forest: Forest, x) -> list[Path]:
-    """Trace every tree for instance x, recording tightened split intervals."""
+    """Trace every tree for instance x, recording tightened split intervals.
+
+    One walk through all trees fills per-(tree, feature) bounds; each path's
+    conditions list its tested features in ascending order.
+    """
     x = forest._check_vector(x)
-    paths = []
-    for t, tree in enumerate(forest.trees):
-        conditions: dict[int, list[float]] = {}
-        node = 0
-        while tree.feature[node] != LEAF:
-            f = int(tree.feature[node])
-            thr = float(tree.threshold[node])
-            bounds = conditions.setdefault(f, [-np.inf, np.inf])
-            if x[f] <= thr:
-                bounds[1] = min(bounds[1], thr)
-                node = int(tree.left[node])
-            else:
-                bounds[0] = max(bounds[0], thr)
-                node = int(tree.right[node])
-        paths.append(
-            Path(
-                tree_index=t,
-                conditions={f: (lo, hi) for f, (lo, hi) in conditions.items()},
-                leaf_prediction=tree.value[node].copy(),
-                leaf_id=node,
-            )
-        )
-    return paths
+    lo = np.full((forest.n_trees, forest.d), -np.inf)
+    hi = np.full((forest.n_trees, forest.d), np.inf)
+    used = np.zeros((forest.n_trees, forest.d), dtype=bool)
+
+    def visit(feature, threshold, go_left):
+        inner = feature[:, 0] != LEAF
+        tree, f, thr, left = np.flatnonzero(inner), feature[inner, 0], threshold[inner, 0], go_left[inner, 0]
+        used[tree, f] = True
+        below, above = (tree[left], f[left]), (tree[~left], f[~left])
+        hi[below] = np.minimum(hi[below], thr[left])
+        lo[above] = np.maximum(lo[above], thr[~left])
+
+    leaves = forest.walk(x[None, :], visit)[:, 0]
+    conditions: list[dict[int, tuple[float, float]]] = [{} for _ in range(forest.n_trees)]
+    tree, f = np.nonzero(used)
+    for t, g, a, b in zip(tree.tolist(), f.tolist(), lo[used].tolist(), hi[used].tolist()):
+        conditions[t][g] = (a, b)
+    preds = forest.value[leaves]
+    return [
+        Path(tree_index=t, conditions=conditions[t], leaf_prediction=preds[t], leaf_id=leaf_id)
+        for t, leaf_id in enumerate((leaves - forest.roots).tolist())
+    ]
 
 
 def mine(paths: list[Path], min_support: float = 0.1) -> AssociationModel:

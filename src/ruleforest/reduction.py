@@ -104,8 +104,9 @@ class _StepGaps(NamedTuple):
 
 
 def _step_gaps(paths: list[Path], forest: Forest, entry: np.ndarray, n_steps: int, substitution: str):
-    """Stack the leaf predictions and extremes once and total the gaps of the
-    trees each step excludes (tree i at step k when ``entry[i] > k``).
+    """Stack the leaf predictions once and total the gaps, against the
+    forest's stacked leaf extremes, of the trees each step excludes (tree i
+    at step k when ``entry[i] > k``).
 
     Rows are summed by entry step, then suffix-summed from the last step back,
     so a step that excludes nothing totals exactly 0. ``per_target`` picks each
@@ -114,8 +115,7 @@ def _step_gaps(paths: list[Path], forest: Forest, entry: np.ndarray, n_steps: in
     if substitution not in SUBSTITUTIONS:
         raise ValueError(f"unknown substitution {substitution!r}")
     preds = np.vstack([p.leaf_prediction for p in paths])
-    mins = np.vstack([t.leaf_min for t in forest.trees])
-    maxs = np.vstack([t.leaf_max for t in forest.trees])
+    mins, maxs = forest.leaf_min, forest.leaf_max
     low, high = preds - mins, maxs - preds
     take_low = low >= high
     rows = np.hstack([low, high, np.where(take_low, low, 0.0), np.where(take_low, 0.0, high)])

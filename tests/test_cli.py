@@ -216,6 +216,44 @@ def test_inspect_single_leaf_depth_zero(capsys, tmp_path):
     assert "depth: min 0 mean 0.0 max 0" in out
 
 
+def test_inspect_mixed_depths(capsys, tmp_path):
+    from conftest import build_forest, leaf, split
+
+    from ruleforest import save
+
+    deep = split(0, 0.0, split(1, 0.0, split(0, -1.0, leaf([1.0]), leaf([2.0])), leaf([3.0])), leaf([4.0]))
+    forest = build_forest([leaf([0.0]), split(1, 0.5, leaf([1.0]), leaf([2.0])), deep], d=2)
+    model = tmp_path / "mixed.model"
+    save(forest, model)
+    code, out, _ = run(capsys, ["inspect", "--model", str(model)])
+    assert code == 0
+    assert "depth: min 0 mean 1.3 max 3" in out
+    assert "leaves per tree: min 1 mean 2.3 max 4" in out
+    assert "leaf extremes[t0]: [0.0000, 4.0000]" in out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["explain", "--precision", "-1"],
+        ["explain", "--check-conclusive", "-5"],
+        ["explain", "--check-conclusive", "0"],
+        ["bench", "--instances", "0"],
+    ],
+    ids=["precision_negative", "check_conclusive_negative", "check_conclusive_zero", "bench_instances_zero"],
+)
+def test_out_of_range_flag_is_usage_error(workspace, capsys, flags):
+    _, _, model = workspace
+    if flags[0] == "explain":
+        argv = flags + ["--model", str(model), "--instance", "0.1,0.2,0.3,0.4", "--allowed-error", "0.2"]
+    else:
+        argv = flags + ["--synthetic", "60,4,2", "--estimators", "5", "--allowed-errors", "0.1"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_missing_model_is_data_error(capsys, tmp_path):
     code, _, err = run(capsys, ["inspect", "--model", str(tmp_path / "nope.model")])
     assert code == 2

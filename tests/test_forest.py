@@ -6,6 +6,7 @@ import pytest
 from conftest import build_forest, build_tree, leaf, random_forest, split
 from ruleforest import (
     Dataset,
+    Forest,
     ForestConfig,
     ModelError,
     evaluate_mae,
@@ -188,6 +189,19 @@ def test_load_rejects_corrupt_tree(tmp_path, corruption):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelError):
         load(path)
+
+
+def test_forest_rejects_child_pointing_back_to_root():
+    tree = build_tree(split(0, 0.5, leaf([1.0]), leaf([2.0])))
+    tree.left[0] = 0  # the root's left child is the root itself: a walk would never end
+    with pytest.raises(ModelError, match="tree 1"):
+        Forest(
+            trees=[build_tree(leaf([0.0])), tree],
+            config=ForestConfig(n_estimators=2),
+            feature_names=("f0",),
+            target_names=("t0",),
+            feature_bounds=np.array([[-1.0, 1.0]]),
+        )
 
 
 def test_mean_bounded_by_tree_extremes(rng):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_forest, leaf, random_forest, split
-from ruleforest import extract_paths, mine, predict, predict_tree, rank_features
+from ruleforest import extract_paths, mine, predict, predict_batch, predict_tree, rank_features
+from ruleforest.forest import LEAF, WALK_CHUNK_ELEMENTS
 from ruleforest.paths import AssociationModel, Path
 
 
@@ -101,6 +102,87 @@ def test_path_containment_and_leaf_change(rng):
                 bumped[f] = lo
                 assert tree.leaf_for(bumped) != path.leaf_id
         np.testing.assert_array_equal(predict_tree(tree, x), path.leaf_prediction)
+
+
+def reference_extract_paths(forest, x):
+    """Oracle: trace each tree on its own, one node at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    paths = []
+    for t, tree in enumerate(forest.trees):
+        conditions: dict[int, list[float]] = {}
+        node = 0
+        while tree.feature[node] != LEAF:
+            f = int(tree.feature[node])
+            thr = float(tree.threshold[node])
+            bounds = conditions.setdefault(f, [-np.inf, np.inf])
+            if x[f] <= thr:
+                bounds[1] = min(bounds[1], thr)
+                node = int(tree.left[node])
+            else:
+                bounds[0] = max(bounds[0], thr)
+                node = int(tree.right[node])
+        paths.append(
+            Path(
+                tree_index=t,
+                conditions={f: (lo, hi) for f, (lo, hi) in conditions.items()},
+                leaf_prediction=tree.value[node].copy(),
+                leaf_id=node,
+            )
+        )
+    return paths
+
+
+FOREST_SHAPES = {  # keyword arguments of conftest.random_forest
+    "one_target": dict(n_trees=6, d=3, m=1, depth=4),
+    "single_leaf_trees": dict(n_trees=5, d=2, m=2, depth=0),
+    "mixed_depth": dict(n_trees=9, d=4, m=3, depth=6),
+}
+
+
+def instances_on_thresholds(forest, rng, n):
+    """n random instances, each with one feature set exactly on a split threshold."""
+    X = rng.uniform(-10, 10, size=(n, forest.d))
+    splits = [(f, thr) for tree in forest.trees for f, thr in zip(tree.feature, tree.threshold) if f != LEAF]
+    for row in X:
+        if splits:
+            f, thr = splits[rng.integers(len(splits))]
+            row[f] = thr
+    return X
+
+
+@pytest.mark.parametrize("shape", sorted(FOREST_SHAPES))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_packed_walk_matches_per_tree_oracle(shape, seed):
+    rng = np.random.default_rng(seed)
+    forest = random_forest(rng, **FOREST_SHAPES[shape])
+    X = np.vstack([instances_on_thresholds(forest, rng, 3), rng.uniform(-10, 10, size=(3, forest.d))])
+    for x in X:
+        got, want = extract_paths(forest, x), reference_extract_paths(forest, x)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.tree_index, g.conditions, g.leaf_id) == (w.tree_index, w.conditions, w.leaf_id)
+            np.testing.assert_array_equal(g.leaf_prediction, w.leaf_prediction)
+            assert not np.shares_memory(g.leaf_prediction, forest.value)
+        tree_mean = np.vstack([predict_tree(tree, x) for tree in forest.trees]).mean(axis=0)
+        np.testing.assert_allclose(predict(forest, x), tree_mean, rtol=0, atol=1e-12)
+    batch = predict_batch(forest, X)
+    for x, row in zip(X, batch):
+        np.testing.assert_allclose(row, predict(forest, x), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", ["none", "one", "chunks_plus_remainder"])
+def test_predict_batch_sizes_match_per_tree_oracle(rng, rows):
+    forest = random_forest(rng, **FOREST_SHAPES["mixed_depth"])
+    chunk_rows = max(1, WALK_CHUNK_ELEMENTS // forest.n_trees)
+    n = {"none": 0, "one": 1, "chunks_plus_remainder": 2 * chunk_rows + 7}[rows]
+    X = instances_on_thresholds(forest, rng, n)
+    batch = predict_batch(forest, X)
+    assert batch.shape == (n, forest.m)
+    for x, row in zip(X, batch):
+        tree_mean = np.vstack([predict_tree(tree, x) for tree in forest.trees]).mean(axis=0)
+        np.testing.assert_allclose(row, tree_mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row, predict(forest, x), rtol=0, atol=1e-12)
 
 
 # --- mining ------------------------------------------------------------------
