@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from contextlib import nullcontext
 
 import numpy as np
@@ -32,15 +33,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_max_features(text: str):
-    if text in ("all", "sqrt"):
-        return text
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"invalid --max-features value {text!r}") from None
-
-
 def _int_at_least(low: int):
     """An argparse type for integers >= ``low``."""
 
@@ -56,6 +48,50 @@ def _int_at_least(low: int):
     return parse
 
 
+def _float_where(ok, requirement: str):
+    """An argparse type for floats that satisfy ``ok``; ``requirement`` names the range."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    return parse
+
+
+_fraction = _float_where(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_non_negative = _float_where(lambda v: v >= 0.0, ">= 0")
+
+
+def _max_features(text: str) -> str:
+    """An argparse type for all, sqrt or a fraction in (0, 1], kept as typed."""
+    if text not in ("all", "sqrt"):
+        _fraction(text)
+    return text
+
+
+def _budgets(text: str) -> str:
+    """An argparse type for comma-separated allowed errors, each >= 0, kept as typed."""
+    for value in text.split(","):
+        if value.strip():
+            _non_negative(value)
+    return text
+
+
+def _synthetic_shape(text: str) -> str:
+    """An argparse type for n,d,m, each >= 1, kept as typed."""
+    values = text.split(",")
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError(f"expected n,d,m, got {text!r}")
+    for value in values:
+        _int_at_least(1)(value)
+    return text
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v.strip() != ""]
@@ -68,19 +104,19 @@ def _config_from_args(args) -> ForestConfig:
         n_estimators=args.estimators,
         max_depth=args.max_depth,
         min_samples_leaf=args.min_leaf,
-        max_features=_parse_max_features(args.max_features),
+        max_features=args.max_features if args.max_features in ("all", "sqrt") else float(args.max_features),
         bootstrap=not args.no_bootstrap,
         seed=args.seed,
     )
 
 
 def _add_forest_flags(parser):
-    parser.add_argument("--estimators", type=int, default=500)
-    parser.add_argument("--max-depth", type=int, default=None)
-    parser.add_argument("--min-leaf", type=int, default=1)
-    parser.add_argument("--max-features", default="sqrt", help="all, sqrt or a fraction")
+    parser.add_argument("--estimators", type=_int_at_least(1), default=500)
+    parser.add_argument("--max-depth", type=_int_at_least(0), default=None)
+    parser.add_argument("--min-leaf", type=_int_at_least(1), default=1)
+    parser.add_argument("--max-features", type=_max_features, default="sqrt", help="all, sqrt or a fraction")
     parser.add_argument("--no-bootstrap", action="store_true")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
 def _add_data_flags(parser, required=True):
@@ -115,11 +151,14 @@ def _resolve_allowed(values: list[float], scheme: str | None, m: int) -> Allowed
 def cmd_train(args) -> int:
     data = _load_dataset(args)
     config = _config_from_args(args)
+    start = time.perf_counter()
     forest = fit(data, config)
+    fit_s = time.perf_counter() - start
     save(forest, args.out)
     per_target, mean = evaluate_mae(forest, data)
     print(_effective_config("train", args))
     print(f"trained {config.n_estimators} trees on {data.n} rows -> {args.out}")
+    print(f"fit {fit_s:.2f} s ({fit_s * 1e3 / forest.n_trees:.1f} ms per tree), {forest.feature.shape[0]} nodes")
     print("training MAE per target: " + ", ".join(f"{v:.4f}" for v in per_target) + f" (mean {mean:.4f})")
     return EXIT_OK
 
@@ -225,10 +264,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        n, d, m = (int(v) for v in args.synthetic.split(","))
-    except ValueError:
-        raise UsageError("--synthetic expects n,d,m") from None
+    n, d, m = (int(v) for v in args.synthetic.split(","))
     data = make_synthetic(n, d, m, noise=args.noise, seed=args.seed)
     config = _config_from_args(args)
     rows = scalability_bench(
@@ -290,32 +326,32 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", help="inline comma-separated feature values")
     p.add_argument("--instance-index", type=int, help="row index into --data")
     _add_data_flags(p, required=False)
-    p.add_argument("--allowed-error", help="one value (global) or one per target")
+    p.add_argument("--allowed-error", type=_budgets, help="one value (global) or one per target")
     p.add_argument("--scheme", choices=["global", "per-target"])
-    p.add_argument("--min-support", type=float, default=0.1)
+    p.add_argument("--min-support", type=_fraction, default=0.1)
     p.add_argument("--rank-order", choices=["asc", "desc"], default="asc")
     p.add_argument("--precision", type=_int_at_least(0), default=2)
     p.add_argument("--check-conclusive", type=_int_at_least(1), metavar="N", help="probe with N perturbations")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--report", help="write the sidecar report JSON here")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("evaluate", help="cross-validated explanation metrics")
     _add_data_flags(p)
     _add_forest_flags(p)
-    p.add_argument("--allowed-errors", required=True, help="comma-separated global budgets")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--min-support", type=float, default=0.1)
+    p.add_argument("--allowed-errors", type=_budgets, required=True, help="comma-separated global budgets")
+    p.add_argument("--folds", type=_int_at_least(2), default=10)
+    p.add_argument("--min-support", type=_fraction, default=0.1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bench", help="allowed-error scalability sweep on synthetic data")
-    p.add_argument("--synthetic", required=True, metavar="n,d,m")
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--synthetic", type=_synthetic_shape, required=True, metavar="n,d,m")
+    p.add_argument("--noise", type=_non_negative, default=0.1)
     _add_forest_flags(p)
-    p.add_argument("--allowed-errors", required=True, help="ascending comma-separated budgets")
+    p.add_argument("--allowed-errors", type=_budgets, required=True, help="ascending comma-separated budgets")
     p.add_argument("--instances", type=_int_at_least(1), default=10)
-    p.add_argument("--min-support", type=float, default=0.1)
+    p.add_argument("--min-support", type=_fraction, default=0.1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

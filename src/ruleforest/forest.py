@@ -1,6 +1,10 @@
 """Multi-output regression random forest with explainer-facing internals.
 
-Each tree is grown or loaded as flat node arrays (``Tree``). Building a
+Each tree is grown or loaded as flat node arrays (``Tree``). Growing is
+exact CART: each node runs one split search over all of its candidate
+features at once (one sort of the candidate columns and one set of
+cumulative target sums), and the tree grows depth first from an explicit
+stack, in the order that fixes which candidates each node draws. Building a
 ``Forest`` packs every tree's nodes into one set of arrays with one root
 offset per tree: child links become global node indices and leaves link to
 themselves, so a fixed number of steps (the deepest tree's depth) routes
@@ -237,93 +241,96 @@ def predict_batch(forest: Forest, X) -> np.ndarray:
     return total / forest.n_trees
 
 
-def _best_split(X, Y, candidates, min_leaf, target_scale):
-    """Best (feature, threshold, gain) over candidate features.
+def _best_split(X, Y, rows, candidates, min_leaf, target_scale):
+    """Best (feature, threshold) for the node holding ``rows``, or None.
 
-    Gain is the summed per-target reduction in sum-of-squared-errors, with an
-    optional per-target scale. Ties resolve to the lowest feature index and
-    then the lowest threshold because candidates are scanned in ascending
-    order and only strictly better gains replace the incumbent.
+    One search scores every candidate feature at once: the candidate columns
+    are sorted together as one (n, k) block, and (n, k, m) cumulative sums of
+    y and y² give, for each legal split position of each feature, the summed
+    per-target reduction in sum-of-squared-errors (divided by an optional
+    per-target scale). The best position of each feature is its first
+    highest gain, and the best feature is the first one whose gain is
+    highest, so ties resolve to the lowest feature index and then the lowest
+    threshold. The node splits only on a gain above zero.
     """
-    n = X.shape[0]
-    col_sum = Y.sum(axis=0)
-    parent_sse = ((Y * Y).sum(axis=0) - col_sum * col_sum / n) / target_scale
+    sub_y = Y[rows]
+    n = rows.shape[0]
+    col_sum = sub_y.sum(axis=0)
+    parent_sse = (sub_y * sub_y).sum(axis=0) - col_sum * col_sum / n
+    if target_scale is not None:
+        parent_sse = parent_sse / target_scale
     parent = parent_sse.sum()
-    best = (None, None, 0.0)
-    for f in candidates:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = Y[order]
-        cum = np.cumsum(ys, axis=0)
-        cum_sq = np.cumsum(ys * ys, axis=0)
-        sizes = np.arange(1, n)  # left child size at split position i
-        boundary = xs[:-1] < xs[1:]
-        legal = boundary & (sizes >= min_leaf) & (n - sizes >= min_leaf)
-        if not legal.any():
-            continue
-        pos = np.flatnonzero(legal)
-        left_n = (pos + 1).astype(np.float64)
-        right_n = n - left_n
-        left_sum = cum[pos]
-        right_sum = col_sum - left_sum
-        left_sse = (cum_sq[pos] - left_sum * left_sum / left_n[:, None]) / target_scale
-        right_sse = (cum_sq[-1] - cum_sq[pos] - right_sum * right_sum / right_n[:, None]) / target_scale
-        gains = parent - left_sse.sum(axis=1) - right_sse.sum(axis=1)
-        k = int(np.argmax(gains))
-        if gains[k] > best[2]:
-            thr = 0.5 * (xs[pos[k]] + xs[pos[k] + 1])
-            best = (int(f), float(thr), float(gains[k]))
-    return best
+    block = X[rows[:, None], candidates]
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = np.take_along_axis(block, order, axis=0)
+    ys = sub_y[order]
+    cum = np.cumsum(ys, axis=0)
+    cum_sq = np.cumsum(ys * ys, axis=0)
+    # a split after sorted row i leaves i + 1 rows on the left; i in [lo, hi)
+    lo, hi = min_leaf - 1, n - min_leaf
+    left_n = np.arange(min_leaf, hi + 1, dtype=np.float64)[:, None, None]
+    right_n = n - left_n
+    left_sum = cum[lo:hi]
+    right_sum = col_sum - left_sum
+    left_sse = cum_sq[lo:hi] - left_sum * left_sum / left_n
+    right_sse = cum_sq[-1] - cum_sq[lo:hi] - right_sum * right_sum / right_n
+    if target_scale is not None:
+        left_sse = left_sse / target_scale
+        right_sse = right_sse / target_scale
+    gains = parent - left_sse.sum(axis=2) - right_sse.sum(axis=2)
+    gains[~(xs[lo:hi] < xs[lo + 1 : hi + 1])] = -np.inf  # equal neighbours cannot be split apart
+    pos = gains.argmax(axis=0)
+    best = gains[pos, np.arange(pos.shape[0])]
+    j = int(best.argmax())
+    if not best[j] > 0.0:
+        return None
+    i = lo + int(pos[j])
+    return int(candidates[j]), float(0.5 * (xs[i, j] + xs[i + 1, j]))
 
 
 def _grow_tree(X, Y, config: ForestConfig, rng, target_scale) -> Tree:
-    d = X.shape[1]
+    """Grow one tree depth first from an explicit stack of (node, rows, depth).
+
+    Nodes are searched in pre-order, left subtree before right, and a split
+    numbers its two children when it is made; the candidate features a node
+    draws from ``rng`` depend only on that order.
+    """
+    n, d = X.shape
     k_feats = config.features_per_split(d)
-    feature, threshold, left, right, value, count = [], [], [], [], [], []
-
-    def new_node():
-        feature.append(LEAF)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(None)
-        count.append(0)
-        return len(feature) - 1
-
-    def build(node, rows, depth):
-        sub_x, sub_y = X[rows], Y[rows]
+    min_leaf = config.min_samples_leaf
+    size = 2 * n - 1  # every leaf holds at least one row
+    feature = np.full(size, LEAF, dtype=np.int64)
+    threshold = np.zeros(size)
+    left = np.full(size, -1, dtype=np.int64)
+    right = np.full(size, -1, dtype=np.int64)
+    value = np.zeros((size, Y.shape[1]))
+    count = np.zeros(size, dtype=np.int64)
+    n_nodes = 1
+    stack = [(0, np.arange(n), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
         count[node] = rows.shape[0]
-        splittable = rows.shape[0] >= 2 * config.min_samples_leaf and (
-            config.max_depth is None or depth < config.max_depth
-        )
-        if splittable:
-            if k_feats >= d:
-                cand = np.arange(d)
-            else:
-                cand = np.sort(rng.choice(d, size=k_feats, replace=False))
-            f, thr, gain = _best_split(sub_x, sub_y, cand, config.min_samples_leaf, target_scale)
-            if f is not None and gain > 0.0:
-                feature[node] = f
-                threshold[node] = thr
-                left[node] = new_node()
-                right[node] = new_node()
-                mask = sub_x[:, f] <= thr
-                build(left[node], rows[mask], depth + 1)
-                build(right[node], rows[~mask], depth + 1)
-                return
-        value[node] = sub_y.mean(axis=0)
-
-    root = new_node()
-    build(root, np.arange(X.shape[0]), 0)
-    m = Y.shape[1]
-    values = np.vstack([np.zeros(m) if v is None else v for v in value])
+        split = None
+        if rows.shape[0] >= 2 * min_leaf and (config.max_depth is None or depth < config.max_depth):
+            cand = np.arange(d) if k_feats >= d else np.sort(rng.choice(d, size=k_feats, replace=False))
+            split = _best_split(X, Y, rows, cand, min_leaf, target_scale)
+        if split is None:
+            value[node] = Y[rows].mean(axis=0)
+            continue
+        f, thr = split
+        feature[node], threshold[node] = f, thr
+        left[node], right[node] = n_nodes, n_nodes + 1
+        n_nodes += 2
+        go_left = X[rows, f] <= thr
+        stack.append((n_nodes - 1, rows[~go_left], depth + 1))
+        stack.append((n_nodes - 2, rows[go_left], depth + 1))
     return Tree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=values,
-        sample_count=np.asarray(count, dtype=np.int64),
+        feature=feature[:n_nodes].copy(),
+        threshold=threshold[:n_nodes].copy(),
+        left=left[:n_nodes].copy(),
+        right=right[:n_nodes].copy(),
+        value=value[:n_nodes].copy(),
+        sample_count=count[:n_nodes].copy(),
     )
 
 
@@ -332,17 +339,20 @@ def fit(train, config: ForestConfig) -> Forest:
 
     Each tree's randomness (bootstrap resample, feature subsets) comes from a
     generator seeded by (config.seed, tree index), so the result is identical
-    regardless of training order or parallelism.
+    regardless of training order or parallelism: the first K trees of any
+    forest are the K-tree forest with the same seed. Each node takes one
+    vectorised split search over its candidate features (``_best_split``);
+    it picks the split a scan of one feature at a time would pick, ties
+    included, so the trees are exact CART trees.
     """
     X, Y = train.features, train.targets
     n = X.shape[0]
     if n < config.min_samples_leaf:
         raise ModelError(f"dataset of {n} rows cannot satisfy min_samples_leaf={config.min_samples_leaf}")
+    scale = None  # dividing by a scale of 1.0 would change nothing
     if config.normalize_targets:
         scale = Y.var(axis=0)
         scale = np.where(scale > 0, scale, 1.0)
-    else:
-        scale = np.ones(Y.shape[1])
     trees = []
     for t in range(config.n_estimators):
         rng = np.random.default_rng([config.seed, t])

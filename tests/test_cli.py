@@ -254,6 +254,40 @@ def test_out_of_range_flag_is_usage_error(workspace, capsys, flags):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+RANGE_CASES = {
+    "train_estimators_zero": ["train", "--estimators", "0"],
+    "train_min_leaf_zero": ["train", "--min-leaf", "0"],
+    "train_max_depth_negative": ["train", "--max-depth", "-1"],
+    "train_max_features_zero": ["train", "--max-features", "0"],
+    "train_max_features_above_one": ["train", "--max-features", "1.5"],
+    "train_seed_negative": ["train", "--seed", "-1"],
+    "evaluate_folds_zero": ["evaluate", "--folds", "0"],
+    "evaluate_folds_one": ["evaluate", "--folds", "1"],
+    "evaluate_allowed_errors_negative": ["evaluate", "--allowed-errors", "0.1,-1"],
+    "explain_min_support_zero": ["explain", "--min-support", "0"],
+    "explain_allowed_error_negative": ["explain", "--allowed-error", "-1"],
+    "bench_synthetic_zero": ["bench", "--synthetic", "0,4,2"],
+    "bench_noise_negative": ["bench", "--noise", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_CASES))
+def test_out_of_range_value_is_usage_error(workspace, capsys, tmp_path, case):
+    _, data, model = workspace
+    command, flag, value = RANGE_CASES[case]
+    valid = {
+        "train": ["--data", str(data), "--targets", "t0,t1", "--estimators", "3", "--out", str(tmp_path / "m.model")],
+        "evaluate": ["--data", str(data), "--targets", "t0,t1", "--estimators", "3", "--allowed-errors", "0.1"],
+        "explain": ["--model", str(model), "--instance", "0.1,0.2,0.3,0.4", "--allowed-error", "0.2"],
+        "bench": ["--synthetic", "60,4,2", "--estimators", "3", "--allowed-errors", "0.1"],
+    }[command]
+    # the flag under test comes last, so it overrides a valid value given above
+    code, out, err = run(capsys, [command, *valid, f"{flag}={value}"])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and flag in err
+
+
 def test_missing_model_is_data_error(capsys, tmp_path):
     code, _, err = run(capsys, ["inspect", "--model", str(tmp_path / "nope.model")])
     assert code == 2

@@ -1,8 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import ruleforest.forest as forest_module
 from conftest import build_forest, build_tree, leaf, random_forest, split
 from ruleforest import (
     Dataset,
@@ -18,6 +22,7 @@ from ruleforest import (
     predict_tree,
     save,
 )
+from ruleforest.forest import LEAF, Tree
 
 
 def two_point_dataset():
@@ -245,3 +250,194 @@ def test_min_samples_leaf_too_large():
     ds = two_point_dataset()
     with pytest.raises(ModelError):
         fit(ds, ForestConfig(n_estimators=1, min_samples_leaf=5))
+
+
+# Reference grower: one split scan per candidate feature and a recursive build,
+# kept as the oracle the vectorised grower must match array for array.
+def _reference_best_split(X, Y, candidates, min_leaf, target_scale):
+    n = X.shape[0]
+    col_sum = Y.sum(axis=0)
+    parent_sse = ((Y * Y).sum(axis=0) - col_sum * col_sum / n) / target_scale
+    parent = parent_sse.sum()
+    best = (None, None, 0.0)
+    for f in candidates:
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ys = Y[order]
+        cum = np.cumsum(ys, axis=0)
+        cum_sq = np.cumsum(ys * ys, axis=0)
+        sizes = np.arange(1, n)  # left child size at split position i
+        boundary = xs[:-1] < xs[1:]
+        legal = boundary & (sizes >= min_leaf) & (n - sizes >= min_leaf)
+        if not legal.any():
+            continue
+        pos = np.flatnonzero(legal)
+        left_n = (pos + 1).astype(np.float64)
+        right_n = n - left_n
+        left_sum = cum[pos]
+        right_sum = col_sum - left_sum
+        left_sse = (cum_sq[pos] - left_sum * left_sum / left_n[:, None]) / target_scale
+        right_sse = (cum_sq[-1] - cum_sq[pos] - right_sum * right_sum / right_n[:, None]) / target_scale
+        gains = parent - left_sse.sum(axis=1) - right_sse.sum(axis=1)
+        k = int(np.argmax(gains))
+        if gains[k] > best[2]:
+            thr = 0.5 * (xs[pos[k]] + xs[pos[k] + 1])
+            best = (int(f), float(thr), float(gains[k]))
+    return best
+
+
+def _reference_grow_tree(X, Y, config, rng, target_scale):
+    if target_scale is None:
+        target_scale = np.ones(Y.shape[1])
+    d = X.shape[1]
+    k_feats = config.features_per_split(d)
+    feature, threshold, left, right, value, count = [], [], [], [], [], []
+
+    def new_node():
+        feature.append(LEAF)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(None)
+        count.append(0)
+        return len(feature) - 1
+
+    def build(node, rows, depth):
+        sub_x, sub_y = X[rows], Y[rows]
+        count[node] = rows.shape[0]
+        splittable = rows.shape[0] >= 2 * config.min_samples_leaf and (
+            config.max_depth is None or depth < config.max_depth
+        )
+        if splittable:
+            if k_feats >= d:
+                cand = np.arange(d)
+            else:
+                cand = np.sort(rng.choice(d, size=k_feats, replace=False))
+            f, thr, gain = _reference_best_split(sub_x, sub_y, cand, config.min_samples_leaf, target_scale)
+            if f is not None and gain > 0.0:
+                feature[node] = f
+                threshold[node] = thr
+                left[node] = new_node()
+                right[node] = new_node()
+                mask = sub_x[:, f] <= thr
+                build(left[node], rows[mask], depth + 1)
+                build(right[node], rows[~mask], depth + 1)
+                return
+        value[node] = sub_y.mean(axis=0)
+
+    build(new_node(), np.arange(X.shape[0]), 0)
+    values = np.vstack([np.zeros(Y.shape[1]) if v is None else v for v in value])
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=values,
+        sample_count=np.asarray(count, dtype=np.int64),
+    )
+
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "sample_count")
+
+
+def assert_same_trees(a, b):
+    assert len(a) == len(b)
+    for t, (x, y) in enumerate(zip(a, b)):
+        for name in TREE_ARRAYS:
+            assert np.array_equal(getattr(x, name), getattr(y, name)), f"tree {t}: {name} differs"
+
+
+def reference_fit(data, config, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(forest_module, "_grow_tree", _reference_grow_tree)
+        return fit(data, config)
+
+
+def rounded(n, d, m, seed, x_step=1.0, y_step=1.0):
+    """Synthetic data rounded to the given steps, so that x and y values tie."""
+    data = make_synthetic(n, d, m, seed=seed)
+    return Dataset(
+        np.round(data.features / x_step) * x_step,
+        np.round(data.targets / y_step) * y_step,
+        data.feature_names,
+        data.target_names,
+    )
+
+
+def constant_targets():
+    data = make_synthetic(50, 4, 2, seed=6)
+    return Dataset(data.features, np.full((50, 2), 2.5), data.feature_names, data.target_names)
+
+
+def binary_features():
+    """Few rows of 0/1 features and small integer targets: splits on different
+    features and positions often gain exactly the same."""
+    rng = np.random.default_rng(12)
+    return Dataset(
+        rng.integers(0, 2, size=(24, 6)).astype(np.float64),
+        rng.integers(0, 3, size=(24, 2)).astype(np.float64),
+        tuple(f"f{i}" for i in range(6)),
+        ("t0", "t1"),
+    )
+
+
+def mirrored_targets():
+    """Targets symmetric in x: the first and the last split position gain the same."""
+    x = np.arange(8.0)[:, None]
+    y = np.array([2.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 2.0])[:, None]
+    return Dataset(x, np.hstack([y, y]), ("x",), ("t0", "t1"))
+
+
+ORACLE_CASES = {
+    "ties_sqrt": (lambda: rounded(120, 6, 3, 1), dict(min_samples_leaf=1)),
+    "ties_all_leaf3": (lambda: rounded(120, 6, 3, 2, 0.5, 0.5), dict(max_features="all", min_samples_leaf=3)),
+    "ties_half_leaf7": (lambda: rounded(120, 6, 3, 3), dict(max_features=0.5, min_samples_leaf=7)),
+    "constant_targets": (constant_targets, dict(max_features="all")),
+    "one_target": (lambda: rounded(80, 9, 1, 4, 0.1, 0.1), dict(min_samples_leaf=2)),
+    "wide_targets": (lambda: rounded(60, 5, 9, 5, 0.5, 0.5), dict(max_features="all")),
+    "normalize": (lambda: rounded(100, 5, 3, 6, 0.5, 0.25), dict(normalize_targets=True, min_samples_leaf=2)),
+    "depth_0": (lambda: make_synthetic(60, 4, 2, seed=7), dict(max_depth=0)),
+    "depth_3": (lambda: rounded(100, 6, 2, 8), dict(max_depth=3, max_features=0.5)),
+    "leaf_above_half_n": (lambda: make_synthetic(30, 4, 2, seed=9), dict(min_samples_leaf=16)),
+    "no_bootstrap": (lambda: rounded(90, 6, 2, 10), dict(bootstrap=False, min_samples_leaf=4)),
+    "binary_all": (binary_features, dict(max_features="all", bootstrap=False)),
+    "binary_sqrt": (binary_features, dict(min_samples_leaf=2)),
+    "mirrored": (mirrored_targets, dict(bootstrap=False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_fit_matches_reference_grower(case, monkeypatch):
+    make_data, options = ORACLE_CASES[case]
+    data = make_data()
+    config = ForestConfig(n_estimators=8, seed=3, **options)
+    assert_same_trees(fit(data, config).trees, reference_fit(data, config, monkeypatch).trees)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**16),
+    min_leaf=st.integers(1, 7),
+    max_features=st.sampled_from(["sqrt", "all", 0.5]),
+    normalize=st.booleans(),
+    bootstrap=st.booleans(),
+    step=st.sampled_from([0.25, 0.5, 1.0]),
+)
+def test_fit_matches_reference_grower_on_tied_data(seed, min_leaf, max_features, normalize, bootstrap, step, monkeypatch):
+    data = rounded(40, 5, 2, seed, step, step)
+    config = ForestConfig(
+        n_estimators=3,
+        min_samples_leaf=min_leaf,
+        max_features=max_features,
+        normalize_targets=normalize,
+        bootstrap=bootstrap,
+        seed=seed,
+    )
+    assert_same_trees(fit(data, config).trees, reference_fit(data, config, monkeypatch).trees)
+
+
+def test_first_trees_do_not_depend_on_forest_size():
+    data = make_synthetic(80, 5, 2, seed=13)
+    config = ForestConfig(n_estimators=9, min_samples_leaf=2, seed=17)
+    big, small = fit(data, config), fit(data, replace(config, n_estimators=4))
+    assert_same_trees(small.trees, big.trees[:4])
