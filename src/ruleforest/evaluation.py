@@ -30,11 +30,13 @@ class BenchRow:
 
 
 def covered_mask(rule: Rule, data: Dataset) -> np.ndarray:
-    """Boolean row mask: every antecedent interval satisfied (closed bounds)."""
+    """Boolean row mask: every antecedent interval satisfied. Upper bounds are
+    closed, and so are lower bounds, except the strict ones from ``>`` splits."""
     mask = np.ones(data.n, dtype=bool)
     for term in rule.antecedent:
         col = data.features[:, term.feature_index]
-        mask &= (col >= term.lo) & (col <= term.hi)
+        above = col > term.lo if term.lo_strict else col >= term.lo
+        mask &= above & (col <= term.hi)
     return mask
 
 

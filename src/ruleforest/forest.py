@@ -160,11 +160,13 @@ class Forest:
         self.leaf_min = np.minimum.reduceat(np.where(leaf[:, None], self.value, np.inf), self.roots)
         self.leaf_max = np.maximum.reduceat(np.where(leaf[:, None], self.value, -np.inf), self.roots)
         self.depths = np.zeros(self.n_trees, dtype=np.int64)
-        frontier, level = self.roots, 0
-        while frontier.size:  # ends because children lie after their parent
+        frontier, level = np.zeros(node.shape, dtype=bool), 0
+        frontier[self.roots] = True
+        while frontier.any():  # ends because children lie after their parent
             self.depths[tree_of[frontier]] = level
-            inner = frontier[~leaf[frontier]]
-            frontier = np.unique(np.concatenate([left[inner], right[inner]]))
+            inner = frontier & ~leaf
+            frontier = np.zeros(node.shape, dtype=bool)
+            frontier[left[inner]] = frontier[right[inner]] = True
             level += 1
         for t, (tree, start, n) in enumerate(zip(self.trees, self.roots.tolist(), sizes.tolist())):
             tree.feature = self.feature[start : start + n]
@@ -439,6 +441,13 @@ def _shape_fault(arrays: dict[str, np.ndarray], m: int) -> str | None:
     return None
 
 
+def _names(doc: dict, key: str) -> tuple[str, ...]:
+    names = doc[key]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise TypeError(f"{key} must be a list of strings")
+    return tuple(names)
+
+
 def load(path) -> Forest:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -451,8 +460,8 @@ def load(path) -> Forest:
         raise ModelError(f"{path}: unsupported model version {doc.get('version')!r}")
     try:
         config = ForestConfig(**doc["config"])
-        feature_names = tuple(doc["feature_names"])
-        target_names = tuple(doc["target_names"])
+        feature_names = _names(doc, "feature_names")
+        target_names = _names(doc, "target_names")
         bounds = np.asarray(doc["feature_bounds"], dtype=np.float64)
         trees = [
             {name: np.asarray(t[name], dtype=dtype) for name, dtype in _TREE_ARRAYS.items()}
@@ -461,6 +470,8 @@ def load(path) -> Forest:
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{path}: corrupt model file ({exc})") from None
     del doc  # release the parsed document before the trees are packed
+    if config.n_estimators != len(trees):
+        raise ModelError(f"{path}: config.n_estimators is {config.n_estimators}, but the file has {len(trees)} trees")
     d, m = len(feature_names), len(target_names)
     if bounds.shape != (d, 2) or not np.isfinite(bounds).all():
         raise ModelError(f"{path}: feature_bounds must be a finite ({d}, 2) array")

@@ -1,14 +1,16 @@
 """Per-tree decision paths for one instance, plus association-rule scoring.
 
-The paths' feature sets act as transactions; pairwise itemset mining yields a
-confidence score per feature, which orders the enrichment loop in the
-reduction step.
+``extract_paths`` returns every tree's path in one ``Paths``: (trees,
+features) arrays of interval bounds and feature use, plus each tree's leaf.
+Mining, reduction and rule composition read the arrays; indexing a ``Paths``
+builds a ``Path`` view. The paths' feature sets act as transactions; pairwise
+itemset mining yields a confidence score per feature, which orders the
+enrichment loop in the reduction step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -34,6 +36,30 @@ class Path:
         return frozenset(self.conditions)
 
 
+@dataclass(eq=False)
+class Paths:
+    """Every tree's path for one instance, one row per tree: ``lo``/``hi``
+    bound each feature (lower strict, infinite where open) and ``used`` marks
+    the features the path tests. ``paths[t]`` is tree t's ``Path`` view."""
+
+    lo: np.ndarray  # (T, d)
+    hi: np.ndarray  # (T, d)
+    used: np.ndarray  # (T, d) bool
+    leaf_id: np.ndarray  # (T,) leaf node index within each tree
+    leaf_prediction: np.ndarray  # (T, m)
+
+    def __len__(self) -> int:
+        return self.used.shape[0]
+
+    def __getitem__(self, t: int) -> Path:
+        lo, hi = self.lo[t].tolist(), self.hi[t].tolist()
+        conditions = {f: (lo[f], hi[f]) for f, used in enumerate(self.used[t].tolist()) if used}
+        return Path(int(t), conditions, self.leaf_prediction[t], int(self.leaf_id[t]))
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
+
+
 @dataclass
 class AssociationModel:
     """Supports for singleton/pair itemsets, the derived one-to-one rules,
@@ -44,12 +70,9 @@ class AssociationModel:
     feature_scores: dict[int, float] = field(default_factory=dict)
 
 
-def extract_paths(forest: Forest, x) -> list[Path]:
-    """Trace every tree for instance x, recording tightened split intervals.
-
-    One walk through all trees fills per-(tree, feature) bounds; each path's
-    conditions list its tested features in ascending order.
-    """
+def extract_paths(forest: Forest, x) -> Paths:
+    """Trace every tree for instance x, recording tightened split intervals;
+    one walk through all trees fills the per-(tree, feature) arrays."""
     x = forest._check_vector(x)
     lo = np.full((forest.n_trees, forest.d), -np.inf)
     hi = np.full((forest.n_trees, forest.d), np.inf)
@@ -64,55 +87,43 @@ def extract_paths(forest: Forest, x) -> list[Path]:
         lo[above] = np.maximum(lo[above], thr[~left])
 
     leaves = forest.walk(x[None, :], visit)[:, 0]
-    conditions: list[dict[int, tuple[float, float]]] = [{} for _ in range(forest.n_trees)]
-    tree, f = np.nonzero(used)
-    for t, g, a, b in zip(tree.tolist(), f.tolist(), lo[used].tolist(), hi[used].tolist()):
-        conditions[t][g] = (a, b)
-    preds = forest.value[leaves]
-    return [
-        Path(tree_index=t, conditions=conditions[t], leaf_prediction=preds[t], leaf_id=leaf_id)
-        for t, leaf_id in enumerate((leaves - forest.roots).tolist())
-    ]
+    return Paths(lo, hi, used, leaves - forest.roots, forest.value[leaves])
 
 
-def mine(paths: list[Path], min_support: float = 0.1) -> AssociationModel:
+def mine(paths: Paths, min_support: float = 0.1) -> AssociationModel:
     """Mine pairwise association rules over the paths' feature sets.
 
     Transactions are the per-path feature sets. Supports are computed for
     every singleton and for every pair reaching ``min_support``; each
     qualifying pair yields both ordered rules with confidence
     support(pair) / support(antecedent). A feature's score is the mean
-    confidence over rules it fronts, falling back to its own support when it
-    fronts none.
+    confidence over rules it fronts, summed in ascending partner order,
+    falling back to its own support when it fronts none.
     """
-    if not paths:
+    if len(paths) == 0:
         raise ValueError("need at least one path")
     if not 0.0 < min_support <= 1.0:
         raise ValueError("min_support must be in (0, 1]")
-    n = len(paths)
-    features = sorted(set().union(*(p.conditions for p in paths)))
-    used = np.asarray([[f in p.conditions for f in features] for p in paths], dtype=np.float64)
-    support = ((used.T @ used) / n).tolist()  # [j][k]: share of paths using both
+    features = np.flatnonzero(paths.used.any(axis=0))
+    if not features.size:
+        return AssociationModel()
+    used = paths.used[:, features].astype(np.float64)
+    support = (used.T @ used) / len(paths)  # [j, k]: share of paths using both
+    own = np.diag(support)
+    pair = (support >= min_support) & ~np.eye(features.size, dtype=bool)
+    conf = np.where(pair, support / own[:, None], 0.0)
+    count = pair.sum(axis=1)
+    # cumsum adds in ascending partner order (sum adds pairwise): last bits decide ranking ties
+    scores = np.where(count > 0, np.cumsum(conf, axis=1)[:, -1] / np.maximum(count, 1), own)
 
-    supports = {frozenset((f,)): support[j][j] for j, f in enumerate(features)}
-    rules: list[tuple[int, int, float]] = []
-    confidences: dict[int, list[float]] = {f: [] for f in features}
-    for (j, f), (k, g) in combinations(enumerate(features), 2):
-        pair_support = support[j][k]
-        if pair_support < min_support:
-            continue
-        supports[frozenset((f, g))] = pair_support
-        for a, b, base in ((f, g, support[j][j]), (g, f, support[k][k])):
-            conf = pair_support / base
-            rules.append((a, b, conf))
-            confidences[a].append(conf)
-    rules.sort(key=lambda r: (r[0], r[1]))
-
-    scores = {
-        f: (sum(confs) / len(confs)) if confs else supports[frozenset((f,))]
-        for f, confs in confidences.items()
-    }
-    return AssociationModel(itemset_supports=supports, rules=rules, feature_scores=scores)
+    names = features.tolist()
+    supports = {frozenset((f,)): s for f, s in zip(names, own.tolist())}
+    j, k = np.nonzero(np.triu(pair))
+    for a, b, s in zip(j.tolist(), k.tolist(), support[j, k].tolist()):
+        supports[frozenset((names[a], names[b]))] = s
+    j, k = np.nonzero(pair)
+    rules = [(names[a], names[b], c) for a, b, c in zip(j.tolist(), k.tolist(), conf[j, k].tolist())]
+    return AssociationModel(supports, rules, dict(zip(names, scores.tolist())))
 
 
 def rank_features(model: AssociationModel, order: str = "ascending") -> list[int]:

@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset, kfold
-from .forest import Forest, ForestConfig, evaluate_mae, fit, predict, predict_batch
-from .paths import AssociationModel, Path, rank_features
+from .forest import Forest, ForestConfig, fit, predict, predict_batch
+from .paths import AssociationModel, Paths, rank_features
 
 SUBSTITUTIONS = ("per_target", "per_tree")
 
@@ -91,11 +91,8 @@ class ConclusiveReport:
 
 
 class _StepGaps(NamedTuple):
-    """Per-tree rows (T, m), then totals (steps, m) over each step's excluded trees."""
+    """Totals (steps, m) over each step's excluded trees."""
 
-    preds: np.ndarray  # leaf prediction per tree
-    mins: np.ndarray  # lowest leaf per tree
-    maxs: np.ndarray  # highest leaf per tree
     take_low: np.ndarray  # low extreme chosen: per tree (per_tree) or per step (per_target)
     low: np.ndarray  # summed prediction minus lowest leaf
     high: np.ndarray  # summed highest leaf minus prediction
@@ -103,10 +100,10 @@ class _StepGaps(NamedTuple):
     abs_shift: np.ndarray  # summed |substituted minus actual prediction|
 
 
-def _step_gaps(paths: list[Path], forest: Forest, entry: np.ndarray, n_steps: int, substitution: str):
-    """Stack the leaf predictions once and total the gaps, against the
-    forest's stacked leaf extremes, of the trees each step excludes (tree i
-    at step k when ``entry[i] > k``).
+def _step_gaps(paths: Paths, forest: Forest, entry: np.ndarray, n_steps: int, substitution: str):
+    """Total the gaps between the leaf predictions and the forest's stacked
+    leaf extremes of the trees each step excludes (tree i at step k when
+    ``entry[i] > k``).
 
     Rows are summed by entry step, then suffix-summed from the last step back,
     so a step that excludes nothing totals exactly 0. ``per_target`` picks each
@@ -114,9 +111,8 @@ def _step_gaps(paths: list[Path], forest: Forest, entry: np.ndarray, n_steps: in
     """
     if substitution not in SUBSTITUTIONS:
         raise ValueError(f"unknown substitution {substitution!r}")
-    preds = np.vstack([p.leaf_prediction for p in paths])
-    mins, maxs = forest.leaf_min, forest.leaf_max
-    low, high = preds - mins, maxs - preds
+    preds = paths.leaf_prediction
+    low, high = preds - forest.leaf_min, forest.leaf_max - preds
     take_low = low >= high
     rows = np.hstack([low, high, np.where(take_low, low, 0.0), np.where(take_low, 0.0, high)])
     by_entry = np.zeros((n_steps + 1, rows.shape[1]))
@@ -126,12 +122,10 @@ def _step_gaps(paths: list[Path], forest: Forest, entry: np.ndarray, n_steps: in
     if substitution == "per_target":
         take_low = low_total >= high_total
         low_taken, high_taken = np.where(take_low, low_total, 0.0), np.where(take_low, 0.0, high_total)
-    return _StepGaps(
-        preds, mins, maxs, take_low, low_total, high_total, high_taken - low_taken, low_taken + high_taken
-    )
+    return _StepGaps(take_low, low_total, high_total, high_taken - low_taken, low_taken + high_taken)
 
 
-def _kept_step(paths: list[Path], kept, forest: Forest, substitution: str):
+def _kept_step(paths: Paths, kept, forest: Forest, substitution: str):
     """The excluded mask and the gaps of the one step that keeps ``kept``."""
     kept = frozenset(kept)
     if not kept:
@@ -141,7 +135,7 @@ def _kept_step(paths: list[Path], kept, forest: Forest, substitution: str):
 
 
 def substituted_predictions(
-    paths: list[Path], kept, forest: Forest, substitution: str = "per_target"
+    paths: Paths, kept, forest: Forest, substitution: str = "per_target"
 ) -> tuple[np.ndarray, np.ndarray]:
     """(preds, r_preds) per tree and target.
 
@@ -152,12 +146,12 @@ def substituted_predictions(
     its extremes is farthest from its own prediction.
     """
     excluded, gaps = _kept_step(paths, kept, forest, substitution)
-    extremes = np.where(gaps.take_low, gaps.mins, gaps.maxs)
-    return gaps.preds, np.where(excluded[:, None], extremes, gaps.preds)
+    extremes = np.where(gaps.take_low, forest.leaf_min, forest.leaf_max)
+    return paths.leaf_prediction, np.where(excluded[:, None], extremes, paths.leaf_prediction)
 
 
 def local_error(
-    paths: list[Path], kept, forest: Forest, substitution: str = "per_target"
+    paths: Paths, kept, forest: Forest, substitution: str = "per_target"
 ) -> np.ndarray:
     """Per-target mean absolute gap between actual and substituted tree
     predictions; zero when every tree is kept."""
@@ -166,16 +160,16 @@ def local_error(
 
 
 def adjusted_prediction(
-    paths: list[Path], kept, forest: Forest, substitution: str = "per_target"
+    paths: Paths, kept, forest: Forest, substitution: str = "per_target"
 ) -> np.ndarray:
     """Forest mean recomputed with excluded trees at their substituted
     extremes."""
     _, gaps = _kept_step(paths, kept, forest, substitution)
-    return gaps.preds.mean(axis=0) + gaps.shift[0] / len(paths)
+    return paths.leaf_prediction.mean(axis=0) + gaps.shift[0] / len(paths)
 
 
 def reduce_paths(
-    paths: list[Path],
+    paths: Paths,
     assoc: AssociationModel,
     allowed: AllowedError,
     forest: Forest,
@@ -195,15 +189,16 @@ def reduce_paths(
     n = len(paths)
     ranking = rank_features(assoc, rank_order)
     n_steps = len(ranking) + 1  # step k tests the first k ranked features
-    step_of = {f: k for k, f in enumerate(ranking, start=1)}
-    entry = np.asarray([max((step_of.get(f, n_steps) for f in p.conditions), default=0) for p in paths])
+    step_of = np.full(paths.used.shape[1], n_steps)
+    step_of[ranking] = np.arange(1, n_steps)
+    entry = np.where(paths.used, step_of, 0).max(axis=1, initial=0)
     gaps = _step_gaps(paths, forest, entry, n_steps, substitution)
     errors = gaps.abs_shift / n
     step = next((k for k in range(int(entry.min()), n_steps) if allowed.accepts(errors[k])), None)
     if step is None:  # unreachable: the full feature set keeps every path
         raise RuntimeError("reduction ended without an accepted kept set")
     kept = frozenset(np.flatnonzero(entry <= step).tolist())
-    original = gaps.preds.mean(axis=0)
+    original = paths.leaf_prediction.mean(axis=0)
     return ReductionResult(
         kept=kept,
         excluded=frozenset(range(n)) - kept,
@@ -229,35 +224,26 @@ def default_allowed_error(dataset: Dataset, config: ForestConfig, k: int = 10) -
     return AllowedError.per_target(abs_err / dataset.n)
 
 
-def compose_rule(reduction: ReductionResult, paths: list[Path], x, forest: Forest) -> Rule:
+def compose_rule(reduction: ReductionResult, paths: Paths, x, forest: Forest) -> Rule:
     """Intersect the kept paths' intervals per feature into one conjunction.
 
     Using the tightest bounds on each side keeps every kept tree routed to
-    the same leaf for any instance the rule covers. Sides a path leaves
-    unbounded fall back to the training-data feature bounds.
+    the same leaf for any instance the rule covers. Sides no kept path
+    bounds fall back to the training-data feature bounds.
     """
     x = forest._check_vector(x)
-    terms = []
-    for f in sorted({f for i in reduction.kept for f in paths[i].conditions}):
-        lo, hi = -np.inf, np.inf
-        for i in reduction.kept:
-            cond = paths[i].conditions.get(f)
-            if cond is not None:
-                lo = max(lo, cond[0])
-                hi = min(hi, cond[1])
-        lo_strict = np.isfinite(lo)
-        if not lo_strict:
-            lo = float(forest.feature_bounds[f, 0])
-        if not np.isfinite(hi):
-            hi = float(forest.feature_bounds[f, 1])
-        # instances outside the training range must still satisfy their own rule
-        lo = min(lo, float(x[f]))
-        hi = max(hi, float(x[f]))
-        terms.append(RuleTerm(f, float(lo), float(hi), lo_strict))
-    consequent = [
-        (t, float(reduction.original_prediction[t]), float(reduction.local_errors[t]))
-        for t in range(forest.m)
-    ]
+    rows = sorted(reduction.kept)
+    lo = paths.lo[rows].max(axis=0, initial=-np.inf)
+    hi = paths.hi[rows].min(axis=0, initial=np.inf)
+    lo_strict = np.isfinite(lo)
+    lo = np.where(lo_strict, lo, forest.feature_bounds[:, 0])
+    hi = np.where(np.isfinite(hi), hi, forest.feature_bounds[:, 1])
+    # instances outside the training range must still satisfy their own rule
+    lo = np.where(x < lo, x, lo)
+    hi = np.where(x > hi, x, hi)
+    f = np.flatnonzero(paths.used[rows].any(axis=0))
+    terms = [RuleTerm(*term) for term in zip(f.tolist(), lo[f].tolist(), hi[f].tolist(), lo_strict[f].tolist())]
+    consequent = list(zip(range(forest.m), reduction.original_prediction.tolist(), reduction.local_errors.tolist()))
     return Rule(antecedent=terms, consequent=consequent, kept_path_count=len(reduction.kept))
 
 
@@ -327,7 +313,7 @@ class Explanation:
 
     rule: Rule
     reduction: ReductionResult
-    paths: list[Path]
+    paths: Paths
     elapsed_seconds: float
     rendered: str = field(default="", repr=False)
 

@@ -6,10 +6,14 @@ from ruleforest import (
     AllowedError,
     Dataset,
     ForestConfig,
+    compose_rule,
     coverage,
+    extract_paths,
     fit,
     make_synthetic,
+    mine,
     predict,
+    reduce_paths,
     rule_length,
     rule_precision,
     run_experiment,
@@ -52,6 +56,20 @@ def test_coverage_counting():
 def test_coverage_closed_bounds():
     ds = dataset_from_features([[1.0], [2.0]])
     assert coverage(simple_rule([(0, 1.0, 2.0)], [(0, 0.0, 0.0)]), ds) == 1.0
+
+
+def test_coverage_strict_lower_bound_excludes_threshold_row():
+    # the rule for x = 3 keeps the tree on its right leaf (f0 > 2); a row at
+    # f0 = 2 takes the left leaf, so the rule must not cover it
+    forest = build_forest([split(0, 2.0, leaf([1.0]), leaf([2.0]))], d=1)
+    x = [3.0]
+    paths = extract_paths(forest, x)
+    reduction = reduce_paths(paths, mine(paths), AllowedError.global_mean(0.0), forest)
+    rule = compose_rule(reduction, paths, x, forest)
+    assert [(t.lo, t.lo_strict) for t in rule.antecedent] == [(2.0, True)]
+    ds = dataset_from_features([[2.0], [3.0], [2.5], [1.0]])
+    assert coverage(rule, ds) == 0.5
+    assert rule_precision(rule, ds, forest) == 0.0  # both covered rows predict 2, as the rule says
 
 
 def test_rule_precision_perfect_agreement():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,10 @@ CORRUPTIONS = {
     ),
     "bounds_short": lambda doc: doc["feature_bounds"].pop(),
     "bounds_nan": lambda doc: _set(doc, "feature_bounds", 0, [float("nan"), 1.0]),
+    # strings of one character per feature or target, which would split into valid names
+    "feature_names_string": lambda doc: doc.update(feature_names="abc"),
+    "target_names_string": lambda doc: doc.update(target_names="uv"),
+    "n_estimators_not_tree_count": lambda doc: _set(doc, "config", "n_estimators", 7),
 }
 
 
@@ -194,6 +202,18 @@ def test_load_rejects_corrupt_tree(tmp_path, corruption):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelError):
         load(path)
+
+
+def test_cli_import_and_load_leave_numpy_ma_unimported(tmp_path):
+    path = tmp_path / "m.model"
+    save(fit(make_synthetic(40, 3, 2, seed=1), ForestConfig(n_estimators=3, seed=0)), path)
+    code = (
+        "import sys; import ruleforest.cli; from ruleforest import load; "
+        f"load({str(path)!r}); print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(forest_module.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_forest_rejects_child_pointing_back_to_root():

@@ -8,20 +8,22 @@ from hypothesis import strategies as st
 from conftest import build_forest, leaf, random_forest, split
 from ruleforest import extract_paths, mine, predict, predict_batch, predict_tree, rank_features
 from ruleforest.forest import LEAF, WALK_CHUNK_ELEMENTS
-from ruleforest.paths import AssociationModel, Path
+from ruleforest.paths import AssociationModel, Path, Paths
 
 
 def named_paths(feature_sets):
     """Paths carrying only feature sets, for mining tests."""
-    return [
-        Path(
-            tree_index=i,
-            conditions={f: (-np.inf, np.inf) for f in fs},
-            leaf_prediction=np.zeros(1),
-            leaf_id=0,
-        )
-        for i, fs in enumerate(feature_sets)
-    ]
+    n = len(feature_sets)
+    used = np.zeros((n, max((f + 1 for fs in feature_sets for f in fs), default=0)), dtype=bool)
+    for i, fs in enumerate(feature_sets):
+        used[i, sorted(fs)] = True
+    return Paths(
+        lo=np.full(used.shape, -np.inf),
+        hi=np.full(used.shape, np.inf),
+        used=used,
+        leaf_id=np.zeros(n, dtype=np.int64),
+        leaf_prediction=np.zeros((n, 1)),
+    )
 
 
 def brute_force_model(feature_sets, min_support):
@@ -50,6 +52,34 @@ def brute_force_model(feature_sets, min_support):
         f: sum(c) / len(c) if c else supports[frozenset((f,))] for f, c in confs.items()
     }
     return supports, sorted(rules, key=lambda r: (r[0], r[1])), scores
+
+
+def reference_mine(paths, min_support=0.1):
+    """Oracle: the per-pair mining loop over each path's conditions dict;
+    each feature's confidences are summed one at a time, in ascending
+    partner order."""
+    n = len(paths)
+    features = sorted(set().union(*(p.conditions for p in paths)))
+    used = np.asarray([[f in p.conditions for f in features] for p in paths], dtype=np.float64)
+    support = ((used.T @ used) / n).tolist()
+    supports = {frozenset((f,)): support[j][j] for j, f in enumerate(features)}
+    rules = []
+    confidences = {f: [] for f in features}
+    for (j, f), (k, g) in combinations(enumerate(features), 2):
+        pair_support = support[j][k]
+        if pair_support < min_support:
+            continue
+        supports[frozenset((f, g))] = pair_support
+        for a, b, base in ((f, g, support[j][j]), (g, f, support[k][k])):
+            conf = pair_support / base
+            rules.append((a, b, conf))
+            confidences[a].append(conf)
+    rules.sort(key=lambda r: (r[0], r[1]))
+    scores = {
+        f: (sum(confs) / len(confs)) if confs else supports[frozenset((f,))]
+        for f, confs in confidences.items()
+    }
+    return AssociationModel(itemset_supports=supports, rules=rules, feature_scores=scores)
 
 
 # --- path extraction ---------------------------------------------------------

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_forest, leaf, random_forest, split
+from test_paths import instances_on_thresholds, reference_mine
 from ruleforest import (
     AllowedError,
     Dataset,
@@ -352,6 +355,62 @@ def test_zero_reduction_rule_is_conclusive_on_grid():
     for v0 in grid0:
         for v1 in grid1:
             np.testing.assert_allclose(predict(forest, [v0, v1]), base, atol=1e-12)
+
+
+def reference_compose_rule(reduction, paths, x, forest):
+    """Oracle: intersect the kept paths' conditions one feature at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    terms = []
+    for f in sorted({f for i in reduction.kept for f in paths[i].conditions}):
+        lo, hi = -np.inf, np.inf
+        for i in reduction.kept:
+            cond = paths[i].conditions.get(f)
+            if cond is not None:
+                lo = max(lo, cond[0])
+                hi = min(hi, cond[1])
+        lo_strict = np.isfinite(lo)
+        if not lo_strict:
+            lo = float(forest.feature_bounds[f, 0])
+        if not np.isfinite(hi):
+            hi = float(forest.feature_bounds[f, 1])
+        lo = min(lo, float(x[f]))
+        hi = max(hi, float(x[f]))
+        terms.append(RuleTerm(f, float(lo), float(hi), lo_strict))
+    consequent = [
+        (t, float(reduction.original_prediction[t]), float(reduction.local_errors[t]))
+        for t in range(forest.m)
+    ]
+    return Rule(antecedent=terms, consequent=consequent, kept_path_count=len(reduction.kept))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_trees=st.integers(min_value=2, max_value=30),
+    d=st.integers(min_value=9, max_value=14),
+    depth=st.integers(min_value=2, max_value=6),
+    support_count=st.integers(min_value=1, max_value=4),
+)
+def test_array_stages_equal_reference_stages(seed, n_trees, d, depth, support_count):
+    rng = np.random.default_rng(seed)
+    forest = random_forest(rng, n_trees, d, m=2, depth=depth)
+    # a share of paths that some pairs reach exactly, so min_support sits on a support
+    min_support = min(support_count, n_trees) / n_trees
+    X = np.vstack([instances_on_thresholds(forest, rng, 3), rng.uniform(-12, 12, size=(1, d))])
+    for x in X:
+        paths = extract_paths(forest, x)
+        assoc, want = mine(paths, min_support), reference_mine(paths, min_support)
+        assert assoc.itemset_supports == want.itemset_supports
+        assert assoc.rules == want.rules
+        assert assoc.feature_scores == want.feature_scores
+        for rank_order in ("ascending", "descending"):
+            for budget in (0.0, float(rng.uniform(0.1, 2.0)), 1e18):
+                reduction = reduce_paths(paths, assoc, AllowedError.global_mean(budget), forest, rank_order)
+                rule = compose_rule(reduction, paths, x, forest)
+                expected = reference_compose_rule(reduction, paths, x, forest)
+                assert rule.antecedent == expected.antecedent
+                assert rule.consequent == expected.consequent
+                assert rule.kept_path_count == expected.kept_path_count
 
 
 # --- rendering ---------------------------------------------------------------
