@@ -216,6 +216,8 @@ def cmd_explain(args) -> int:
         )
         report["max_deviation"] = probe.max_deviation.tolist()
         report["envelope_violations"] = probe.envelope_violations
+        report["certified_lower"] = probe.lower.tolist()
+        report["certified_upper"] = probe.upper.tolist()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(_effective_config("explain", args) + "\n")
@@ -331,8 +333,19 @@ def build_parser() -> _Parser:
     p.add_argument("--min-support", type=_fraction, default=0.1)
     p.add_argument("--rank-order", choices=["asc", "desc"], default="asc")
     p.add_argument("--precision", type=_int_at_least(0), default=2)
-    p.add_argument("--check-conclusive", type=_int_at_least(1), metavar="N", help="probe with N perturbations")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument(
+        "--check-conclusive",
+        type=_int_at_least(1),
+        metavar="N",
+        help="certify the rule exactly: report the forest's prediction range over the whole rule "
+        "region; nothing is sampled, so any N >= 1 gives the same result",
+    )
+    p.add_argument(
+        "--seed",
+        type=_int_at_least(0),
+        default=0,
+        help="recorded in the config line; the exact --check-conclusive check does not use it",
+    )
     p.add_argument("--report", help="write the sidecar report JSON here")
     p.set_defaults(func=cmd_explain)
 

@@ -10,7 +10,9 @@ offset per tree: child links become global node indices and leaves link to
 themselves, so a fixed number of steps (the deepest tree's depth) routes
 every (tree, row) pair to its leaf. ``Forest.walk`` takes those steps for all
 trees at once, one depth level per step, over a (trees, rows) node array;
-``predict``, ``predict_batch`` and path extraction all use it. A ``Tree``'s
+``predict``, ``predict_batch`` and path extraction all use it.
+``Forest.reach`` walks a box of feature intervals the same way and collects
+every leaf some point of the box reaches. A ``Tree``'s
 feature, threshold and value arrays are views into the packed arrays, and
 the per-target leaf extremes, which the reduction step needs to bound what an
 excluded tree could have predicted, are stacked once as (trees, m) arrays.
@@ -214,6 +216,32 @@ class Forest:
                 visit(feature, threshold, go_left)
             node = np.take(self._children, 2 * node + go_left)
         return node
+
+    def reach(self, lo: np.ndarray, hi: np.ndarray, lo_open: np.ndarray) -> np.ndarray:
+        """Global ids, ascending, of every leaf that some point of a box reaches.
+
+        The box holds, per feature, the values in [lo, hi], or in (lo, hi]
+        where ``lo_open``; infinite bounds leave a side unbounded. As in
+        ``walk``, all trees take one depth level per step together: an inner
+        node passes the box on to its left child when the box holds a value
+        <= the threshold, and to its right child when it holds one above it.
+        A non-empty box reaches at least one leaf of every tree, and global
+        ids run tree by tree, so the result is grouped by tree. A leaf that
+        no point at all reaches (a branch that splits one feature twice in
+        conflicting ways, which ``fit`` never grows) can be listed too.
+        """
+        # a closed lo <= t exactly when the float below lo is < t
+        low = np.where(lo_open, lo, np.nextafter(lo, -np.inf))
+        node, reached = self.roots, []
+        while node.size:  # ends because children lie after their parent
+            feature = self.feature[node]
+            leaf = feature == LEAF
+            reached.append(node[leaf])
+            node, feature = node[~leaf], feature[~leaf]
+            threshold = self.threshold[node]
+            left, right = low[feature] < threshold, hi[feature] > threshold
+            node = self._children[np.concatenate([2 * node[left] + 1, 2 * node[right]])]
+        return np.sort(np.concatenate(reached))
 
 
 def predict_tree(tree: Tree, x: np.ndarray) -> np.ndarray:

@@ -5,6 +5,11 @@ once all of its features are inside the set. Excluded trees are accounted for
 by substituting the leaf extreme farthest from the prediction, which yields
 both the local error the budget is tested against and the adjusted
 prediction.
+
+``check_conclusive`` certifies a rule exactly, with no sampling: it walks the
+rule's region, a box, down the packed forest once and bounds every tree by
+its lowest and highest reachable leaf, which gives the range of the forest's
+prediction over the whole region. ``explain`` does not run it.
 """
 
 from __future__ import annotations
@@ -86,8 +91,14 @@ class Rule:
 
 @dataclass
 class ConclusiveReport:
+    """Exact per-target range ``[lower, upper]`` of the forest's prediction
+    over a rule's region, with its largest gap from the instance's
+    prediction and the count of targets whose range leaves the envelope."""
+
     max_deviation: np.ndarray
     envelope_violations: int
+    lower: np.ndarray
+    upper: np.ndarray
 
 
 class _StepGaps(NamedTuple):
@@ -278,32 +289,55 @@ def check_conclusive(
     trials: int = 1000,
     seed: int = 0,
 ) -> ConclusiveReport:
-    """Probe the rule empirically with random in-range perturbations.
+    """Certify the rule exactly: the range of the forest's prediction over
+    the whole rule region, against the reduction envelope.
 
-    Antecedent features are sampled inside their rule interval and all other
-    features anywhere inside the training bounds; every perturbed prediction
-    must stay inside the reduction envelope.
+    The region is a box: each antecedent feature lies in its rule interval,
+    open at a strict lower bound and closed otherwise, and every other
+    feature is unbounded. One walk of the box down the packed forest
+    (``Forest.reach``) finds every leaf a point of the region can reach;
+    each tree's lowest and highest reachable leaf values, summed over the
+    trees and divided by their count, give the exact per-target range
+    ``[lower, upper]`` of the forest's prediction over the region.
+    ``max_deviation`` is the largest gap between that range and the
+    prediction for ``x``, and ``envelope_violations`` counts the targets
+    whose range leaves the envelope. The range is exact when every leaf of
+    the forest holds some point, as in every forest ``fit`` grows; a leaf no
+    point reaches, which a hand-built tree can have, can only widen it.
+    Nothing is sampled, so the result does not depend on ``trials`` or
+    ``seed``; ``trials`` must still be >= 1.
+    Raises ``ValueError`` when the region is empty or does not contain ``x``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     x = forest._check_vector(x)
-    rng = np.random.default_rng(seed)
-    lo = forest.feature_bounds[:, 0].copy()
-    hi = forest.feature_bounds[:, 1].copy()
+    lo = np.full(forest.d, -np.inf)
+    hi = np.full(forest.d, np.inf)
+    lo_open = np.zeros(forest.d, dtype=bool)
     for term in rule.antecedent:
-        lo[term.feature_index] = term.lo
-        hi[term.feature_index] = term.hi
-    samples = rng.uniform(lo, hi, size=(trials, forest.d))
-    env_lo, env_hi = reduction.envelope
-    preds = predict_batch(forest, samples)
+        f = term.feature_index
+        lo[f], hi[f], lo_open[f] = term.lo, term.hi, term.lo_strict
+    empty = (lo > hi) | (lo_open & (lo == hi))
+    outside = ~(np.where(lo_open, x > lo, x >= lo) & (x <= hi))
+    for bad, fault in ((empty, "is empty"), (outside, "excludes the instance")):
+        if bad.any():
+            f = int(np.argmax(bad))
+            interval = f"{'(' if lo_open[f] else '['}{lo[f]}, {hi[f]}]"
+            raise ValueError(f"rule term on feature {f} ({forest.feature_names[f]}), {interval}, {fault}")
+    leaves = forest.reach(lo, hi, lo_open)
+    values = forest.value[leaves]
+    starts = np.searchsorted(leaves, forest.roots)
+    lower = np.minimum.reduceat(values, starts).sum(axis=0) / forest.n_trees
+    upper = np.maximum.reduceat(values, starts).sum(axis=0) / forest.n_trees
     original = predict(forest, x)
+    env_lo, env_hi = reduction.envelope
     tolerance = 1e-9  # floating-point slack on the envelope test
-    violations = int(
-        ((preds < env_lo - tolerance) | (preds > env_hi + tolerance)).any(axis=1).sum()
-    )
+    violations = int(((lower < env_lo - tolerance) | (upper > env_hi + tolerance)).sum())
     return ConclusiveReport(
-        max_deviation=np.abs(preds - original).max(axis=0),
+        max_deviation=np.maximum(upper - original, original - lower),
         envelope_violations=violations,
+        lower=lower,
+        upper=upper,
     )
 
 

@@ -124,6 +124,9 @@ def test_explain_instance_index_and_report(workspace, capsys, tmp_path):
     payload = json.loads("\n".join(body[1:]))
     assert payload["kept_paths"] + payload["excluded_paths"] == 10
     assert payload["envelope_violations"] == 0
+    certified = zip(payload["certified_lower"], payload["original_prediction"], payload["certified_upper"], strict=True)
+    for low, value, high in certified:
+        assert low <= value <= high
 
 
 def test_explain_missing_budget_is_usage_error(workspace, capsys):

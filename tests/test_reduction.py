@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,17 @@ from ruleforest import (
     compose_rule,
     default_allowed_error,
     extract_paths,
+    fit,
     local_error,
     make_synthetic,
     mine,
     predict,
+    predict_batch,
     reduce_paths,
     render_rule,
 )
+import ruleforest.reduction as reduction_module
+from ruleforest.forest import LEAF
 from ruleforest.paths import rank_features
 from ruleforest.reduction import Rule, RuleTerm, explain, substituted_predictions
 
@@ -445,7 +451,7 @@ def test_render_multi_term_shape(rng):
     assert text.count("±") == forest.m
 
 
-# --- conclusiveness probing --------------------------------------------------
+# --- conclusiveness certificate ----------------------------------------------
 
 
 def test_check_conclusive_zero_reduction(rng):
@@ -465,6 +471,177 @@ def test_check_conclusive_no_envelope_violations(rng):
         rule = compose_rule(reduction, paths, x, forest)
         report = check_conclusive(rule, reduction, forest, x, trials=1000, seed=trial)
         assert report.envelope_violations == 0
+
+
+# the oracle's predict_batch may total the trees in another order than the
+# certificate, which moves a sum by a few units in the last place
+SUM_SLACK = 1e-9
+
+
+def sampled_predictions(rule, forest, trials, seed):
+    """The sampled probe ``check_conclusive`` once ran, kept as an oracle:
+    forest predictions at uniform points with the antecedent features inside
+    their rule interval and every other feature inside the training bounds."""
+    rng = np.random.default_rng(seed)
+    lo = forest.feature_bounds[:, 0].copy()
+    hi = forest.feature_bounds[:, 1].copy()
+    for term in rule.antecedent:
+        lo[term.feature_index], hi[term.feature_index] = term.lo, term.hi
+    return predict_batch(forest, rng.uniform(lo, hi, size=(trials, forest.d)))
+
+
+def bound_points(rule, x):
+    """x with one antecedent feature moved onto an edge of its interval: a
+    closed lower bound, the float just above a strict one, and the upper bound."""
+    points = [x]
+    for term in rule.antecedent:
+        for value in (np.nextafter(term.lo, np.inf) if term.lo_strict else term.lo, term.hi):
+            point = x.copy()
+            point[term.feature_index] = value
+            points.append(point)
+    return np.vstack(points)
+
+
+def leaf_box_range(rule, forest):
+    """The prediction range over the rule region from every tree's leaf
+    boxes, (a, b] per feature: a leaf counts when its box meets the region.
+
+    Also says whether some leaf's own box is empty, which a random tree that
+    splits a feature twice in conflicting ways can have and ``fit`` never
+    grows; the certificate may count such a leaf."""
+    lo = np.full(forest.d, -np.inf)
+    hi = np.full(forest.d, np.inf)
+    strict = np.zeros(forest.d, dtype=bool)
+    for term in rule.antecedent:
+        lo[term.feature_index], hi[term.feature_index], strict[term.feature_index] = term.lo, term.hi, term.lo_strict
+    lows, highs, dead = [], [], False
+    for tree in forest.trees:
+        values = []
+        stack = [(0, np.full(forest.d, -np.inf), np.full(forest.d, np.inf))]
+        while stack:
+            node, a, b = stack.pop()
+            f = tree.feature[node]
+            if f == LEAF:
+                dead |= bool((a >= b).any())
+                bottom, top = np.maximum(a, lo), np.minimum(b, hi)
+                closed_bottom = (lo > a) & ~strict
+                if ((bottom < top) | ((bottom == top) & closed_bottom)).all():
+                    values.append(tree.value[node])
+                continue
+            b_left, a_right = b.copy(), a.copy()
+            b_left[f] = min(b[f], tree.threshold[node])
+            a_right[f] = max(a[f], tree.threshold[node])
+            stack += [(tree.left[node], a, b_left), (tree.right[node], a_right, b)]
+        lows.append(np.min(values, axis=0))
+        highs.append(np.max(values, axis=0))
+    return np.vstack(lows).sum(axis=0) / forest.n_trees, np.vstack(highs).sum(axis=0) / forest.n_trees, dead
+
+
+def assert_certificate_exact(forest, x, allowed, seed):
+    paths = extract_paths(forest, x)
+    reduction = reduce_paths(paths, mine(paths), allowed, forest)
+    rule = compose_rule(reduction, paths, x, forest)
+    report = check_conclusive(rule, reduction, forest, x)
+    lower, upper, dead = leaf_box_range(rule, forest)
+    if dead:  # an unreachable leaf may only widen the range
+        assert (report.lower <= lower).all() and (report.upper >= upper).all()
+    else:
+        np.testing.assert_array_equal(report.lower, lower)
+        np.testing.assert_array_equal(report.upper, upper)
+    lower, upper = report.lower, report.upper
+    preds = np.vstack([sampled_predictions(rule, forest, 300, seed), predict_batch(forest, bound_points(rule, x))])
+    assert (preds >= lower - SUM_SLACK).all() and (preds <= upper + SUM_SLACK).all()
+    env_lo, env_hi = reduction.envelope
+    assert (lower >= env_lo - 1e-9).all() and (upper <= env_hi + 1e-9).all()
+    assert report.envelope_violations == 0
+    original = predict(forest, x)
+    np.testing.assert_array_equal(report.max_deviation, np.maximum(upper - original, original - lower))
+    assert (report.max_deviation >= np.abs(preds - original).max(axis=0) - SUM_SLACK).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_trees=st.integers(min_value=1, max_value=30),
+    d=st.integers(min_value=1, max_value=6),
+    depth=st.integers(min_value=1, max_value=6),
+)
+def test_certificate_equals_leaf_boxes_on_random_forests(seed, n_trees, d, depth):
+    rng = np.random.default_rng(seed)
+    forest = random_forest(rng, n_trees, d, m=2, depth=depth)
+    X = np.vstack([instances_on_thresholds(forest, rng, 2), rng.uniform(-12, 12, size=(1, d))])
+    for x in X:
+        for budget in (0.0, float(rng.uniform(0.1, 2.0)), 1e18):
+            assert_certificate_exact(forest, x, AllowedError.global_mean(budget), seed)
+
+
+@functools.cache
+def fitted(seed):
+    data = make_synthetic(200, 6, 3, seed=seed)
+    return data, fit(data, ForestConfig(n_estimators=40, min_samples_leaf=5, seed=seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.sampled_from([1, 2]),
+    row=st.integers(min_value=0, max_value=199),
+    budget=st.sampled_from([0.0, 0.05, 0.1, 0.3, 1.0, 5.0]),
+)
+def test_certificate_equals_leaf_boxes_on_fitted_forests(seed, row, budget):
+    data, forest = fitted(seed)
+    assert_certificate_exact(forest, data.features[row], AllowedError.global_mean(budget), row)
+
+
+def test_certificate_keeps_strict_lower_bound_open():
+    # the kept first tree splits at 0.0 and x goes right, so the rule's lower
+    # bound on f0 is a strict 0.0; at f0 == 0.0 that tree takes its left leaf
+    forest = build_forest([split(0, 0.0, leaf([0.0]), leaf([1.0])), split(0, 5.0, leaf([10.0]), leaf([20.0]))], d=1)
+    x = np.array([1.0])
+    paths = extract_paths(forest, x)
+    reduction = reduce_paths(paths, mine(paths), AllowedError.global_mean(0.0), forest)
+    rule = compose_rule(reduction, paths, x, forest)
+    assert rule.antecedent == [RuleTerm(0, 0.0, 5.0, True)]
+    report = check_conclusive(rule, reduction, forest, x)
+    np.testing.assert_array_equal([report.lower, report.upper], [[5.5], [5.5]])
+    assert report.envelope_violations == 0
+    closed = Rule([RuleTerm(0, 0.0, 5.0, False)], rule.consequent, rule.kept_path_count)
+    widened = check_conclusive(closed, reduction, forest, x)
+    np.testing.assert_array_equal([widened.lower, widened.upper], [[5.0], [5.5]])
+    assert widened.envelope_violations == 1
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        (RuleTerm(0, 2.0, 1.0, False), "is empty"),
+        (RuleTerm(0, 1.0, 1.0, True), "is empty"),
+        (RuleTerm(0, 2.0, 3.0, False), "excludes the instance"),
+    ],
+    ids=["lo_above_hi", "strict_lo_equal_hi", "instance_outside"],
+)
+def test_check_conclusive_rejects_bad_region(term, message):
+    forest = build_forest([split(0, 0.0, leaf([0.0]), leaf([1.0]))], d=1)
+    x = np.array([1.0])
+    paths = extract_paths(forest, x)
+    reduction = reduce_paths(paths, mine(paths), AllowedError.global_mean(0.0), forest)
+    with pytest.raises(ValueError, match=message):
+        check_conclusive(Rule([term], [(0, 1.0, 0.0)], 1), reduction, forest, x)
+
+
+def test_check_conclusive_does_not_sample(rng, monkeypatch):
+    forest, x, paths = forest_and_paths(rng, n_trees=8, d=4, depth=4)
+    reduction = reduce_paths(paths, mine(paths), AllowedError.global_mean(0.5), forest)
+    rule = compose_rule(reduction, paths, x, forest)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_conclusive called predict_batch")
+
+    monkeypatch.setattr(reduction_module, "predict_batch", refuse)
+    one = check_conclusive(rule, reduction, forest, x, trials=1, seed=0)
+    many = check_conclusive(rule, reduction, forest, x, trials=1000, seed=9)
+    assert one.envelope_violations == many.envelope_violations
+    for field in ("max_deviation", "lower", "upper"):
+        np.testing.assert_array_equal(getattr(one, field), getattr(many, field))
 
 
 def test_kept_trees_stay_pinned(rng):
