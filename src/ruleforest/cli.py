@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -163,15 +164,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _instance_from_args(args, forest: Forest) -> np.ndarray:
+def _instance_from_args(args, forest: Forest, dataset) -> np.ndarray:
     if args.instance is not None:
         values = _parse_floats(args.instance)
         if len(values) != forest.d:
             raise UsageError(f"instance has {len(values)} values, model expects {forest.d} features")
         return np.asarray(values)
-    if args.instance_index is None or args.data is None:
-        raise UsageError("provide --instance values or --instance-index with --data")
-    data = _load_dataset(args)
+    if args.instance_index is None or args.data is None or args.targets is None:
+        raise UsageError("provide --instance values or --instance-index with --data and --targets")
+    data = dataset()
     if tuple(data.feature_names) != tuple(forest.feature_names):
         raise DatasetError("CSV feature columns do not match the model")
     if not 0 <= args.instance_index < data.n:
@@ -181,11 +182,12 @@ def _instance_from_args(args, forest: Forest) -> np.ndarray:
 
 def cmd_explain(args) -> int:
     forest = load(args.model)
-    x = _instance_from_args(args, forest)
+    dataset = functools.cache(lambda: _load_dataset(args))  # the CSV is parsed at most once
+    x = _instance_from_args(args, forest, dataset)
     if args.allowed_error is not None:
         allowed = _resolve_allowed(_parse_floats(args.allowed_error), args.scheme, forest.m)
     elif args.data is not None and args.targets is not None:
-        allowed = default_allowed_error(_load_dataset(args), forest.config, k=10)
+        allowed = default_allowed_error(dataset(), forest.config, k=10)
         if args.scheme == "global":
             allowed = AllowedError.global_mean(float(allowed.values.mean()))
     else:

@@ -30,14 +30,10 @@ class BenchRow:
 
 
 def covered_mask(rule: Rule, data: Dataset) -> np.ndarray:
-    """Boolean row mask: every antecedent interval satisfied. Upper bounds are
-    closed, and so are lower bounds, except the strict ones from ``>`` splits."""
-    mask = np.ones(data.n, dtype=bool)
-    for term in rule.antecedent:
-        col = data.features[:, term.feature_index]
-        above = col > term.lo if term.lo_strict else col >= term.lo
-        mask &= above & (col <= term.hi)
-    return mask
+    """Boolean row mask: the rows inside the rule's box (``Rule.box``). Upper
+    bounds are closed, and so are lower bounds, except the strict ones from
+    ``>`` splits."""
+    return rule.contains(data.features).all(axis=1)
 
 
 def coverage(rule: Rule, data: Dataset) -> float:

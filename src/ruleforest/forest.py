@@ -24,7 +24,7 @@ walk ends on every forest that can be built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,13 @@ class ForestConfig:
     normalize_targets: bool = False  # per-target variance scaling in the split gain
 
     def __post_init__(self):
+        for name in ("n_estimators", "min_samples_leaf", "max_depth", "seed"):
+            value = getattr(self, name)
+            if name == "max_depth" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers too, so the config saves as JSON
         if self.n_estimators < 1:
             raise ModelError("n_estimators must be >= 1")
         if self.min_samples_leaf < 1:
@@ -410,63 +417,52 @@ def evaluate_mae(forest: Forest, data) -> tuple[np.ndarray, float]:
     return per_target, float(per_target.mean())
 
 
+# The v1 node schema: each tree is one JSON object of these node arrays, in
+# this order. Per array: what its elements may be ("integers" or "numbers",
+# as the numpy kinds of the parsed list), the dtype it is cast to, and
+# whether it has one column per target, shape (n, m), rather than shape (n,).
+_HOLDS = {"integers": "i", "numbers": "if"}
+_TREE_ARRAYS = {
+    "feature": ("integers", np.int64, False),
+    "threshold": ("numbers", np.float64, False),
+    "left": ("integers", np.int64, False),
+    "right": ("integers", np.int64, False),
+    "value": ("numbers", np.float64, True),
+    "sample_count": ("integers", np.int64, False),
+}
+
+
 def save(forest: Forest, path) -> None:
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "config": {
-            "n_estimators": forest.config.n_estimators,
-            "max_depth": forest.config.max_depth,
-            "min_samples_leaf": forest.config.min_samples_leaf,
-            "max_features": forest.config.max_features,
-            "bootstrap": forest.config.bootstrap,
-            "seed": forest.config.seed,
-            "normalize_targets": forest.config.normalize_targets,
-        },
+        "config": asdict(forest.config),
         "feature_names": list(forest.feature_names),
         "target_names": list(forest.target_names),
         "feature_bounds": forest.feature_bounds.tolist(),
-        "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "value": tree.value.tolist(),
-                "sample_count": tree.sample_count.tolist(),
-            }
-            for tree in forest.trees
-        ],
+        "trees": [{name: getattr(tree, name).tolist() for name in _TREE_ARRAYS} for tree in forest.trees],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
-_TREE_ARRAYS = {
-    "feature": np.int64,
-    "threshold": np.float64,
-    "left": np.int64,
-    "right": np.int64,
-    "value": np.float64,
-    "sample_count": np.int64,
-}
-
-
-def _shape_fault(arrays: dict[str, np.ndarray], m: int) -> str | None:
-    """The first mismatch between one tree's node array shapes, or None.
-
-    The structure itself (feature range, child order, finite numbers) is
-    checked when the forest is built.
-    """
-    feature = arrays["feature"]
-    n = feature.shape[0] if feature.ndim == 1 else 0
+def _read_tree(arrays: dict, m: int) -> Tree:
+    """One tree, each node array checked against ``_TREE_ARRAYS`` before it
+    is cast, so no value is rounded or wrapped into range. Building the
+    forest checks the structure (feature range, child order, finite numbers)."""
+    n = len(arrays["feature"]) if isinstance(arrays["feature"], list) else 0
     if n < 1:
-        return "needs at least one node"
-    shapes = {"threshold": (n,), "left": (n,), "right": (n,), "value": (n, m), "sample_count": (n,)}
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            return f"{name} has shape {arrays[name].shape}, expected {shape}"
-    return None
+        raise ModelError("needs at least one node")
+    cast = {}
+    for name, (holds, dtype, per_target) in _TREE_ARRAYS.items():
+        array = np.asarray(arrays[name])
+        shape = (n, m) if per_target else (n,)
+        if array.shape != shape:
+            raise ModelError(f"{name} has shape {array.shape}, expected {shape}")
+        if array.dtype.kind not in _HOLDS[holds]:
+            raise ModelError(f"{name} holds {array.dtype} values, expected {holds}")
+        cast[name] = array.astype(dtype, copy=False)
+    return Tree(**cast)
 
 
 def _names(doc: dict, key: str) -> tuple[str, ...]:
@@ -480,40 +476,37 @@ def load(path) -> Forest:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, malformed or too deeply nested JSON
         raise ModelError(f"{path}: corrupt model file ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
         raise ModelError(f"{path}: unsupported model version {doc.get('version')!r}")
+    corrupt = (KeyError, TypeError, ValueError, OverflowError)
     try:
         config = ForestConfig(**doc["config"])
         feature_names = _names(doc, "feature_names")
         target_names = _names(doc, "target_names")
         bounds = np.asarray(doc["feature_bounds"], dtype=np.float64)
-        trees = [
-            {name: np.asarray(t[name], dtype=dtype) for name, dtype in _TREE_ARRAYS.items()}
-            for t in doc["trees"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        parsed = doc.pop("trees")
+        n_trees = len(parsed)
+    except corrupt as exc:
         raise ModelError(f"{path}: corrupt model file ({exc})") from None
-    del doc  # release the parsed document before the trees are packed
-    if config.n_estimators != len(trees):
-        raise ModelError(f"{path}: config.n_estimators is {config.n_estimators}, but the file has {len(trees)} trees")
+    if config.n_estimators != n_trees:
+        raise ModelError(f"{path}: config.n_estimators is {config.n_estimators}, but the file has {n_trees} trees")
     d, m = len(feature_names), len(target_names)
     if bounds.shape != (d, 2) or not np.isfinite(bounds).all():
         raise ModelError(f"{path}: feature_bounds must be a finite ({d}, 2) array")
-    for t, arrays in enumerate(trees):
-        fault = _shape_fault(arrays, m)
-        if fault is not None:
-            raise ModelError(f"{path}: tree {t}: {fault}")
+    trees = []
+    for t, arrays in enumerate(parsed):
+        try:
+            trees.append(_read_tree(arrays, m))
+        except ModelError as exc:
+            raise ModelError(f"{path}: tree {t}: {exc}") from None
+        except corrupt as exc:
+            raise ModelError(f"{path}: tree {t}: corrupt model file ({exc})") from None
+    del parsed, arrays  # release the parsed trees before they are packed
     try:
-        return Forest(
-            trees=[Tree(**arrays) for arrays in trees],
-            config=config,
-            feature_names=feature_names,
-            target_names=target_names,
-            feature_bounds=bounds,
-        )
+        return Forest(trees, config, feature_names, target_names, bounds)
     except ModelError as exc:
         raise ModelError(f"{path}: {exc}") from None

@@ -88,6 +88,28 @@ class Rule:
     consequent: list[tuple[int, float, float]]  # (target_index, value, bound)
     kept_path_count: int
 
+    def box(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rule's region over ``d`` features as ``(lo, hi, lo_open)``:
+        feature f holds the values in [lo, hi], or in (lo, hi] where
+        ``lo_open``. A feature no term names is unbounded; several terms on
+        one feature intersect, so the highest lower bound (open if any term
+        with that bound is strict) and the lowest upper bound apply."""
+        lo, hi = np.full(d, -np.inf), np.full(d, np.inf)
+        lo_open = np.zeros(d, dtype=bool)
+        for term in self.antecedent:
+            f = term.feature_index
+            if term.lo > lo[f] or (term.lo == lo[f] and term.lo_strict):
+                lo[f], lo_open[f] = term.lo, term.lo_strict
+            hi[f] = min(hi[f], term.hi)
+        return lo, hi, lo_open
+
+    def contains(self, X) -> np.ndarray:
+        """Whether each value of ``X`` (shape (..., d)) lies in the rule's
+        interval on its feature; a row is covered when all of its values do."""
+        X = np.asarray(X, dtype=np.float64)
+        lo, hi, lo_open = self.box(X.shape[-1])
+        return np.where(lo_open, X > lo, X >= lo) & (X <= hi)
+
 
 @dataclass
 class ConclusiveReport:
@@ -292,13 +314,14 @@ def check_conclusive(
     """Certify the rule exactly: the range of the forest's prediction over
     the whole rule region, against the reduction envelope.
 
-    The region is a box: each antecedent feature lies in its rule interval,
-    open at a strict lower bound and closed otherwise, and every other
-    feature is unbounded. One walk of the box down the packed forest
-    (``Forest.reach``) finds every leaf a point of the region can reach;
-    each tree's lowest and highest reachable leaf values, summed over the
-    trees and divided by their count, give the exact per-target range
-    ``[lower, upper]`` of the forest's prediction over the region.
+    The region is the rule's box (``Rule.box``): each antecedent feature
+    lies in its rule interval, open at a strict lower bound and closed
+    otherwise, and every other feature is unbounded. One walk of the box
+    down the packed forest (``Forest.reach``) finds every leaf a point of
+    the region can reach; each tree's lowest and highest reachable leaf
+    values, summed over the trees and divided by their count, give the exact
+    per-target range ``[lower, upper]`` of the forest's prediction over the
+    region.
     ``max_deviation`` is the largest gap between that range and the
     prediction for ``x``, and ``envelope_violations`` counts the targets
     whose range leaves the envelope. The range is exact when every leaf of
@@ -311,14 +334,9 @@ def check_conclusive(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     x = forest._check_vector(x)
-    lo = np.full(forest.d, -np.inf)
-    hi = np.full(forest.d, np.inf)
-    lo_open = np.zeros(forest.d, dtype=bool)
-    for term in rule.antecedent:
-        f = term.feature_index
-        lo[f], hi[f], lo_open[f] = term.lo, term.hi, term.lo_strict
+    lo, hi, lo_open = rule.box(forest.d)
     empty = (lo > hi) | (lo_open & (lo == hi))
-    outside = ~(np.where(lo_open, x > lo, x >= lo) & (x <= hi))
+    outside = ~rule.contains(x)
     for bad, fault in ((empty, "is empty"), (outside, "excludes the instance")):
         if bad.any():
             f = int(np.argmax(bad))

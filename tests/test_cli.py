@@ -4,8 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from ruleforest import make_synthetic, save_csv
+import ruleforest.cli as cli_module
+from ruleforest import load_csv, make_synthetic, save_csv
 from ruleforest.cli import main
+from test_forest import CORRUPTIONS
 
 RULE_RE = re.compile(
     r"^(if (-?\d+\.\d+ <= \w+ <= -?\d+\.\d+)( & -?\d+\.\d+ <= \w+ <= -?\d+\.\d+)* )?"
@@ -309,6 +311,44 @@ def test_model_with_root_cycle_is_data_error(workspace, capsys, tmp_path):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("corruption", ["seed_string", "feature_huge", "feature_fractional", "left_fractional"])
+def test_model_with_value_save_never_writes_is_data_error(workspace, capsys, tmp_path, corruption):
+    _, _, model = workspace
+    doc = json.loads(model.read_text())
+    CORRUPTIONS[corruption](doc)
+    broken = tmp_path / "broken.model"
+    broken.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["inspect", "--model", str(broken)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_explain_parses_the_csv_once(workspace, capsys, monkeypatch):
+    _, data, model = workspace
+    calls = []
+
+    def counting_load_csv(*args, **kwargs):
+        calls.append(args)
+        return load_csv(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "load_csv", counting_load_csv)
+    # no --allowed-error: the instance and the cross-validated default budget both need the CSV
+    argv = ["explain", "--model", str(model), "--data", str(data), "--targets", "t0,t1", "--instance-index", "5"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and RULE_RE.match(out.splitlines()[1])
+    assert len(calls) == 1
+
+
+def test_explain_instance_index_without_targets_is_usage_error(workspace, capsys):
+    _, data, model = workspace
+    argv = ["explain", "--model", str(model), "--data", str(data), "--instance-index", "5", "--allowed-error", "0.3"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--targets" in err
 
 
 def test_unknown_flag_is_usage_error(capsys, workspace):

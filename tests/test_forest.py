@@ -26,6 +26,7 @@ from ruleforest import (
     predict_tree,
     save,
 )
+from ruleforest.cli import main
 from ruleforest.forest import LEAF, Tree
 
 
@@ -159,6 +160,13 @@ def test_load_truncated(tmp_path):
         load(path)
 
 
+def test_load_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.model"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ModelError, match="corrupt"):
+        load(path)
+
+
 def test_load_not_a_model(tmp_path):
     path = tmp_path / "other.json"
     path.write_text("{}")
@@ -189,6 +197,11 @@ CORRUPTIONS = {
     "feature_names_string": lambda doc: doc.update(feature_names="abc"),
     "target_names_string": lambda doc: doc.update(target_names="uv"),
     "n_estimators_not_tree_count": lambda doc: _set(doc, "config", "n_estimators", 7),
+    # values save never writes, which a forced cast would round, wrap or overflow on
+    "seed_string": lambda doc: _set(doc, "config", "seed", "x"),
+    "feature_huge": lambda doc: _set(doc["trees"][0], "feature", 0, 2**70),
+    "feature_fractional": lambda doc: _set(doc["trees"][0], "feature", 0, doc["trees"][0]["feature"][0] + 0.5),
+    "left_fractional": lambda doc: _set(doc["trees"][0], "left", 0, doc["trees"][0]["left"][0] + 0.5),
 }
 
 
@@ -202,6 +215,95 @@ def test_load_rejects_corrupt_tree(tmp_path, corruption):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelError):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_estimators", 2.0), ("min_samples_leaf", "1"), ("max_depth", 1.5), ("max_depth", True), ("seed", "x"), ("seed", None)],
+)
+def test_config_rejects_non_integers(field, value):
+    with pytest.raises(ModelError, match=f"{field} must be an integer"):
+        ForestConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers_as_ints(tmp_path):
+    config = ForestConfig(n_estimators=np.int64(2), max_depth=np.int32(3), min_samples_leaf=np.int64(1), seed=np.uint8(4))
+    assert config == ForestConfig(n_estimators=2, max_depth=3, seed=4)
+    assert all(type(value) is int for value in (config.n_estimators, config.max_depth, config.seed))
+    path = tmp_path / "m.model"
+    save(fit(make_synthetic(20, 2, 1, seed=0), config), path)
+    assert load(path).config == config
+
+
+# a small hand-built forest (depths 0 to 3, two targets) and its v1 file
+GOLDEN_FILE = Path(__file__).parent / "data" / "model_v1.json"
+GOLDEN_SPECS = [
+    leaf([0.5, -1.25]),
+    split(0, 0.5, leaf([1.0, 2.0]), leaf([-3.0, 0.125])),
+    split(1, -2.5, split(2, 1.75, leaf([0.1, 0.2]), leaf([1e-3, -7.5])), leaf([4.0, 1.0 / 3.0])),
+    split(2, 0.0, leaf([2.5, -0.5]), split(0, 3.5, split(1, -1.0, leaf([0.0, 1.0]), leaf([6.25, -6.25])), leaf([-2.0, 9.0]))),
+]
+
+
+def test_save_writes_the_golden_v1_file(tmp_path):
+    path = tmp_path / "m.model"
+    save(build_forest(GOLDEN_SPECS, d=3, bounds=[[-4.0, 4.5], [-3.0, 2.0], [-1.0, 5.0]]), path)
+    assert path.read_bytes() == GOLDEN_FILE.read_bytes()
+    save(load(GOLDEN_FILE), path)
+    assert path.read_bytes() == GOLDEN_FILE.read_bytes()
+
+
+def _locations(node, at=()):
+    """The key path of every value inside a JSON document, depth first."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield at + (key,)
+        yield from _locations(child, at + (key,))
+
+
+def _drop(parent, key):  # a dict loses a key; a list gets shorter
+    del parent[key]
+
+
+def _extend(parent, key):  # a list gets longer by a copy of one of its elements
+    if isinstance(parent, list):
+        parent.insert(key, json.loads(json.dumps(parent[key])))
+
+
+def _swap(value):
+    def swap(parent, key):
+        parent[key] = value
+
+    return swap
+
+
+FUZZ_VALUES = {"2**70": 2**70, "10**400": 10**400, "fraction": 0.5, "string": "x", "bool": True, "null": None, "list": [1], "dict": {"a": 1}}
+FUZZ_MUTATIONS = {"drop": _drop, "extend": _extend, **{f"swap {name}": _swap(value) for name, value in FUZZ_VALUES.items()}}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    location=st.sampled_from(list(_locations(json.loads(GOLDEN_FILE.read_text())))),
+    mutation=st.sampled_from(sorted(FUZZ_MUTATIONS)),
+)
+def test_mutated_model_file_fails_cleanly_or_predicts(tmp_path, capsys, location, mutation):
+    doc = json.loads(GOLDEN_FILE.read_text())
+    parent = doc
+    for key in location[:-1]:
+        parent = parent[key]
+    FUZZ_MUTATIONS[mutation](parent, location[-1])
+    path = tmp_path / "fuzzed.model"
+    path.write_text(json.dumps(doc))
+    try:
+        forest = load(path)
+    except ModelError:
+        forest = None
+    else:
+        assert np.isfinite(predict(forest, np.zeros(forest.d))).all()
+    code = main(["inspect", "--model", str(path)])
+    err = capsys.readouterr().err
+    assert code == (2 if forest is None else 0)
+    assert len(err.splitlines()) == (1 if forest is None else 0)
 
 
 def test_cli_import_and_load_leave_numpy_ma_unimported(tmp_path):

@@ -14,6 +14,7 @@ from ruleforest import (
     adjusted_prediction,
     check_conclusive,
     compose_rule,
+    coverage,
     default_allowed_error,
     extract_paths,
     fit,
@@ -611,21 +612,33 @@ def test_certificate_keeps_strict_lower_bound_open():
 
 
 @pytest.mark.parametrize(
-    "term, message",
+    "terms, message",
     [
-        (RuleTerm(0, 2.0, 1.0, False), "is empty"),
-        (RuleTerm(0, 1.0, 1.0, True), "is empty"),
-        (RuleTerm(0, 2.0, 3.0, False), "excludes the instance"),
+        ([RuleTerm(0, 2.0, 1.0, False)], "is empty"),
+        ([RuleTerm(0, 1.0, 1.0, True)], "is empty"),
+        ([RuleTerm(0, 2.0, 3.0, False)], "excludes the instance"),
+        # the region is the terms' intersection, [1.5, 2], not the last term alone
+        ([RuleTerm(0, 1.5, 2.0, False), RuleTerm(0, 0.0, 5.0, False)], r"\[1.5, 2.0\], excludes the instance"),
     ],
-    ids=["lo_above_hi", "strict_lo_equal_hi", "instance_outside"],
+    ids=["lo_above_hi", "strict_lo_equal_hi", "instance_outside", "instance_outside_two_terms"],
 )
-def test_check_conclusive_rejects_bad_region(term, message):
+def test_check_conclusive_rejects_bad_region(terms, message):
     forest = build_forest([split(0, 0.0, leaf([0.0]), leaf([1.0]))], d=1)
     x = np.array([1.0])
     paths = extract_paths(forest, x)
     reduction = reduce_paths(paths, mine(paths), AllowedError.global_mean(0.0), forest)
+    rule = Rule(terms, [(0, 1.0, 0.0)], 1)
     with pytest.raises(ValueError, match=message):
-        check_conclusive(Rule([term], [(0, 1.0, 0.0)], 1), reduction, forest, x)
+        check_conclusive(rule, reduction, forest, x)
+    assert coverage(rule, Dataset(x[None, :], np.zeros((1, 1)), ("f0",), ("t0",))) == 0.0
+
+
+def test_rule_box_intersects_terms_on_one_feature():
+    terms = [RuleTerm(0, 1.0, 3.0, False), RuleTerm(0, 1.0, 2.0, True), RuleTerm(0, 0.0, 5.0, False), RuleTerm(2, -1.0, 1.0, False)]
+    lo, hi, lo_open = Rule(terms, [(0, 1.0, 0.0)], 1).box(3)
+    np.testing.assert_array_equal(lo, [1.0, -np.inf, -1.0])
+    np.testing.assert_array_equal(hi, [2.0, np.inf, 1.0])
+    np.testing.assert_array_equal(lo_open, [True, False, False])
 
 
 def test_check_conclusive_does_not_sample(rng, monkeypatch):
