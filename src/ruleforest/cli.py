@@ -203,6 +203,7 @@ def cmd_explain(args) -> int:
     )
     print(_effective_config("explain", args))
     print(result.rendered)
+    trace = result.reduction.trace
     report = {
         "kept_paths": len(result.reduction.kept),
         "excluded_paths": len(result.reduction.excluded),
@@ -211,6 +212,14 @@ def cmd_explain(args) -> int:
         "adjusted_prediction": result.reduction.adjusted_prediction.tolist(),
         "original_prediction": result.reduction.original_prediction.tolist(),
         "elapsed_seconds": result.elapsed_seconds,
+        # each wall-clock value's line names elapsed_seconds, so reruns differ only on such lines
+        "timings": {f"{stage}_elapsed_seconds": seconds for stage, seconds in result.timings.items()},
+        "trace": {
+            "ranking": trace.ranking,
+            "kept_paths": trace.kept_counts.tolist(),
+            "local_errors": trace.local_errors.tolist(),
+            "accepted_step": trace.accepted_step,
+        },
     }
     if args.check_conclusive is not None:
         probe = check_conclusive(

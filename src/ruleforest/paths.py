@@ -2,8 +2,10 @@
 
 ``extract_paths`` returns every tree's path in one ``Paths``: (trees,
 features) arrays of interval bounds and feature use, plus each tree's leaf.
-Mining, reduction and rule composition read the arrays; indexing a ``Paths``
-builds a ``Path`` view. The paths' feature sets act as transactions; pairwise
+A path's bounds depend only on its leaf, so extraction is one walk to the
+leaves and two row gathers from the forest's leaf boxes. Mining, reduction
+and rule composition read the arrays; indexing a ``Paths`` builds a ``Path``
+view. The paths' feature sets act as transactions; pairwise
 itemset mining yields a confidence score per feature, which orders the
 enrichment loop in the reduction step.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forest import LEAF, Forest
+from .forest import Forest
 
 
 @dataclass
@@ -71,23 +73,18 @@ class AssociationModel:
 
 
 def extract_paths(forest: Forest, x) -> Paths:
-    """Trace every tree for instance x, recording tightened split intervals;
-    one walk through all trees fills the per-(tree, feature) arrays."""
+    """Every tree's path for instance x: one walk finds its leaves, and the
+    forest's leaf boxes (``Forest.leaf_boxes``, built on the first call)
+    give each path's bounds, so ``lo``/``hi`` equal the thresholds the walk
+    passes, tightened along the path."""
     x = forest._check_vector(x)
-    lo = np.full((forest.n_trees, forest.d), -np.inf)
-    hi = np.full((forest.n_trees, forest.d), np.inf)
-    used = np.zeros((forest.n_trees, forest.d), dtype=bool)
-
-    def visit(feature, threshold, go_left):
-        inner = feature[:, 0] != LEAF
-        tree, f, thr, left = np.flatnonzero(inner), feature[inner, 0], threshold[inner, 0], go_left[inner, 0]
-        used[tree, f] = True
-        below, above = (tree[left], f[left]), (tree[~left], f[~left])
-        hi[below] = np.minimum(hi[below], thr[left])
-        lo[above] = np.maximum(lo[above], thr[~left])
-
-    leaves = forest.walk(x[None, :], visit)[:, 0]
-    return Paths(lo, hi, used, leaves - forest.roots, forest.value[leaves])
+    leaves = forest.walk(x[None, :])[:, 0]
+    boxes = forest.leaf_boxes
+    rows = boxes.row[leaves]
+    lo, hi = boxes.lo.take(rows, axis=0), boxes.hi.take(rows, axis=0)
+    # thresholds are finite, so a bound is finite exactly where the path tests the feature
+    used = (lo > -np.inf) | (hi < np.inf)
+    return Paths(lo, hi, used, leaves - forest.roots, forest.value.take(leaves, axis=0))
 
 
 def mine(paths: Paths, min_support: float = 0.1) -> AssociationModel:

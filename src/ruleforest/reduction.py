@@ -4,7 +4,8 @@ The enrichment loop grows a feature set in confidence order; a path is kept
 once all of its features are inside the set. Excluded trees are accounted for
 by substituting the leaf extreme farthest from the prediction, which yields
 both the local error the budget is tested against and the adjusted
-prediction.
+prediction. Every step's kept count and local errors come from one pass, and
+the result keeps them as its ``trace``.
 
 ``check_conclusive`` certifies a rule exactly, with no sampling: it walks the
 rule's region, a box, down the packed forest once and bounds every tree by
@@ -52,12 +53,30 @@ class AllowedError:
     def per_target(cls, values) -> "AllowedError":
         return cls("per_target", np.asarray(values))
 
-    def accepts(self, local_errors: np.ndarray) -> bool:
+    def passes(self, local_errors: np.ndarray) -> np.ndarray:
+        """Whether each row of a (steps, m) array of per-target local errors
+        meets the budget: the row's mean (global) or every entry (per target).
+        Each row is summed as ``accepts`` sums it, in any memory layout."""
+        local_errors = np.ascontiguousarray(local_errors)
         if self.scheme == "global_mean":
-            return float(local_errors.mean()) <= float(self.values[0])
-        if local_errors.shape != self.values.shape:
+            return local_errors.mean(axis=1) <= self.values[0]
+        if local_errors.shape[1:] != self.values.shape:
             raise ValueError("per-target budget length does not match target count")
-        return bool((local_errors <= self.values).all())
+        return (local_errors <= self.values).all(axis=1)
+
+    def accepts(self, local_errors: np.ndarray) -> bool:
+        """Whether one step's per-target local errors meet the budget."""
+        return bool(self.passes(np.asarray(local_errors)[None, :])[0])
+
+
+@dataclass
+class ReductionTrace:
+    """What the enrichment saw: step k tests the first k ranked features."""
+
+    ranking: list[int]  # features in the order the steps add them
+    kept_counts: np.ndarray  # (steps,) paths kept at each step, never decreasing
+    local_errors: np.ndarray  # (steps, m) per-target local error at each step
+    accepted_step: int  # first step with a kept path whose errors meet the budget
 
 
 @dataclass
@@ -70,6 +89,7 @@ class ReductionResult:
     original_prediction: np.ndarray
     # per-target (low, high) the forest can predict while the kept trees stay on their leaves
     envelope: tuple[np.ndarray, np.ndarray]
+    trace: ReductionTrace
 
 
 @dataclass(frozen=True)
@@ -138,23 +158,29 @@ def _step_gaps(paths: Paths, forest: Forest, entry: np.ndarray, n_steps: int, su
     leaf extremes of the trees each step excludes (tree i at step k when
     ``entry[i] > k``).
 
-    Rows are summed by entry step, then suffix-summed from the last step back,
-    so a step that excludes nothing totals exactly 0. ``per_target`` picks each
+    Rows are summed by entry step (one ``bincount``, which adds each step's
+    rows in tree order), then suffix-summed from the last step back, so a
+    step that excludes nothing totals exactly 0. ``per_target`` picks each
     step's side from the totals, ``per_tree`` each tree's side from its row.
     """
     if substitution not in SUBSTITUTIONS:
         raise ValueError(f"unknown substitution {substitution!r}")
     preds = paths.leaf_prediction
     low, high = preds - forest.leaf_min, forest.leaf_max - preds
-    take_low = low >= high
-    rows = np.hstack([low, high, np.where(take_low, low, 0.0), np.where(take_low, 0.0, high)])
-    by_entry = np.zeros((n_steps + 1, rows.shape[1]))
-    np.add.at(by_entry, entry, rows)
+    blocks = [low, high]
+    if substitution == "per_tree":
+        take_low = low >= high
+        blocks += [np.where(take_low, low, 0.0), np.where(take_low, 0.0, high)]
+    rows = np.hstack(blocks)
+    cols = rows.shape[1]
+    bins = (entry[:, None] * cols + np.arange(cols)).ravel()
+    by_entry = np.bincount(bins, rows.ravel(), (n_steps + 1) * cols).reshape(n_steps + 1, cols)
     totals = np.cumsum(by_entry[::-1], axis=0)[::-1][1:]
-    low_total, high_total, low_taken, high_taken = np.hsplit(totals, 4)
+    low_total, high_total, *taken = totals.reshape(n_steps, len(blocks), -1).swapaxes(0, 1)
     if substitution == "per_target":
         take_low = low_total >= high_total
-        low_taken, high_taken = np.where(take_low, low_total, 0.0), np.where(take_low, 0.0, high_total)
+        taken = np.where(take_low, low_total, 0.0), np.where(take_low, 0.0, high_total)
+    low_taken, high_taken = taken
     return _StepGaps(take_low, low_total, high_total, high_taken - low_taken, low_taken + high_taken)
 
 
@@ -227,19 +253,23 @@ def reduce_paths(
     entry = np.where(paths.used, step_of, 0).max(axis=1, initial=0)
     gaps = _step_gaps(paths, forest, entry, n_steps, substitution)
     errors = gaps.abs_shift / n
-    step = next((k for k in range(int(entry.min()), n_steps) if allowed.accepts(errors[k])), None)
-    if step is None:  # unreachable: the full feature set keeps every path
+    passes = allowed.passes(errors)
+    passes[: entry.min()] = False  # no path is kept yet
+    step = int(passes.argmax())
+    if not passes[step]:  # unreachable: the full feature set keeps every path
         raise RuntimeError("reduction ended without an accepted kept set")
-    kept = frozenset(np.flatnonzero(entry <= step).tolist())
+    kept = entry <= step
+    kept_counts = np.cumsum(np.bincount(entry, minlength=n_steps + 1)[:n_steps])
     original = paths.leaf_prediction.mean(axis=0)
     return ReductionResult(
-        kept=kept,
-        excluded=frozenset(range(n)) - kept,
+        kept=frozenset(np.flatnonzero(kept).tolist()),
+        excluded=frozenset(np.flatnonzero(~kept).tolist()),
         feature_set=frozenset(ranking[:step]),
         local_errors=errors[step],
         adjusted_prediction=original + gaps.shift[step] / n,
         original_prediction=original,
         envelope=(original - gaps.low[step] / n, original + gaps.high[step] / n),
+        trace=ReductionTrace(ranking, kept_counts, errors, step),
     )
 
 
@@ -265,16 +295,17 @@ def compose_rule(reduction: ReductionResult, paths: Paths, x, forest: Forest) ->
     bounds fall back to the training-data feature bounds.
     """
     x = forest._check_vector(x)
-    rows = sorted(reduction.kept)
-    lo = paths.lo[rows].max(axis=0, initial=-np.inf)
-    hi = paths.hi[rows].min(axis=0, initial=np.inf)
+    rows = np.zeros(len(paths), dtype=bool)
+    rows[np.fromiter(reduction.kept, np.intp, len(reduction.kept))] = True
+    lo = paths.lo.compress(rows, axis=0).max(axis=0, initial=-np.inf)
+    hi = paths.hi.compress(rows, axis=0).min(axis=0, initial=np.inf)
     lo_strict = np.isfinite(lo)
     lo = np.where(lo_strict, lo, forest.feature_bounds[:, 0])
     hi = np.where(np.isfinite(hi), hi, forest.feature_bounds[:, 1])
     # instances outside the training range must still satisfy their own rule
     lo = np.where(x < lo, x, lo)
     hi = np.where(x > hi, x, hi)
-    f = np.flatnonzero(paths.used[rows].any(axis=0))
+    f = np.flatnonzero(paths.used.compress(rows, axis=0).any(axis=0))
     terms = [RuleTerm(*term) for term in zip(f.tolist(), lo[f].tolist(), hi[f].tolist(), lo_strict[f].tolist())]
     consequent = list(zip(range(forest.m), reduction.original_prediction.tolist(), reduction.local_errors.tolist()))
     return Rule(antecedent=terms, consequent=consequent, kept_path_count=len(reduction.kept))
@@ -361,13 +392,16 @@ def check_conclusive(
 
 @dataclass
 class Explanation:
-    """Everything one explain call produces, plus how long it took."""
+    """Everything one explain call produces, plus how long it took:
+    ``elapsed_seconds`` in all, and ``timings`` in seconds per stage
+    (``extract``, ``mine``, ``reduce`` and ``compose``)."""
 
     rule: Rule
     reduction: ReductionResult
     paths: Paths
     elapsed_seconds: float
     rendered: str = field(default="", repr=False)
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 def explain(
@@ -382,11 +416,16 @@ def explain(
     """Full pipeline for one instance: extract, mine, reduce, compose."""
     from .paths import extract_paths, mine
 
-    start = time.perf_counter()
+    clock = [time.perf_counter()]
     paths = extract_paths(forest, x)
+    clock.append(time.perf_counter())
     assoc = mine(paths, min_support)
+    clock.append(time.perf_counter())
     reduction = reduce_paths(paths, assoc, allowed, forest, rank_order, substitution)
+    clock.append(time.perf_counter())
     rule = compose_rule(reduction, paths, x, forest)
-    elapsed = time.perf_counter() - start
+    clock.append(time.perf_counter())
     rendered = render_rule(rule, forest.feature_names, forest.target_names, precision)
-    return Explanation(rule, reduction, paths, elapsed, rendered)
+    stages = ("extract", "mine", "reduce", "compose")
+    timings = {stage: end - begin for stage, begin, end in zip(stages, clock, clock[1:])}
+    return Explanation(rule, reduction, paths, clock[-1] - clock[0], rendered, timings)

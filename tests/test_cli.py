@@ -131,6 +131,23 @@ def test_explain_instance_index_and_report(workspace, capsys, tmp_path):
         assert low <= value <= high
 
 
+def test_explain_report_carries_trace_and_timings(workspace, capsys, tmp_path):
+    _, _, model = workspace
+    report = tmp_path / "report.json"
+    argv = ["explain", "--model", str(model), "--instance", "0.5,-0.5,0.1,0.9", "--allowed-error", "0.4",
+            "--report", str(report)]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    payload = json.loads("\n".join(report.read_text().splitlines()[1:]))
+    assert list(payload["timings"]) == [f"{stage}_elapsed_seconds" for stage in ("extract", "mine", "reduce", "compose")]
+    trace = payload["trace"]
+    step = trace["accepted_step"]
+    assert sorted(trace["ranking"][:step]) == payload["feature_set"]
+    assert trace["kept_paths"][step] == payload["kept_paths"]
+    assert trace["kept_paths"][-1] == payload["kept_paths"] + payload["excluded_paths"]
+    assert trace["local_errors"][step] == payload["local_errors"]
+
+
 def test_explain_missing_budget_is_usage_error(workspace, capsys):
     _, _, model = workspace
     code, _, err = run(capsys, ["explain", "--model", str(model), "--instance", "0,0,0,0"])
@@ -313,7 +330,19 @@ def test_model_with_root_cycle_is_data_error(workspace, capsys, tmp_path):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("corruption", ["seed_string", "feature_huge", "feature_fractional", "left_fractional"])
+@pytest.mark.parametrize(
+    "corruption",
+    [
+        "seed_string",
+        "feature_huge",
+        "feature_fractional",
+        "left_fractional",
+        "bootstrap_string",
+        "normalize_targets_null",
+        "bootstrap_list",
+        "max_features_bool",
+    ],
+)
 def test_model_with_value_save_never_writes_is_data_error(workspace, capsys, tmp_path, corruption):
     _, _, model = workspace
     doc = json.loads(model.read_text())

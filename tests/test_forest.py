@@ -202,6 +202,11 @@ CORRUPTIONS = {
     "feature_huge": lambda doc: _set(doc["trees"][0], "feature", 0, 2**70),
     "feature_fractional": lambda doc: _set(doc["trees"][0], "feature", 0, doc["trees"][0]["feature"][0] + 0.5),
     "left_fractional": lambda doc: _set(doc["trees"][0], "left", 0, doc["trees"][0]["left"][0] + 0.5),
+    # flags that are not bools, and a bool where a fraction belongs
+    "bootstrap_string": lambda doc: _set(doc, "config", "bootstrap", "x"),
+    "normalize_targets_null": lambda doc: _set(doc, "config", "normalize_targets", None),
+    "bootstrap_list": lambda doc: _set(doc, "config", "bootstrap", [1]),
+    "max_features_bool": lambda doc: _set(doc, "config", "max_features", True),
 }
 
 
@@ -224,6 +229,30 @@ def test_load_rejects_corrupt_tree(tmp_path, corruption):
 def test_config_rejects_non_integers(field, value):
     with pytest.raises(ModelError, match=f"{field} must be an integer"):
         ForestConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("bootstrap", "x", "bootstrap must be a bool"),
+        ("bootstrap", 1, "bootstrap must be a bool"),
+        ("normalize_targets", None, "normalize_targets must be a bool"),
+        ("normalize_targets", [1], "normalize_targets must be a bool"),
+        ("max_features", True, "max_features must be"),
+        ("max_features", np.False_, "max_features must be"),
+    ],
+)
+def test_config_rejects_non_bool_flags(field, value, message):
+    with pytest.raises(ModelError, match=message):
+        ForestConfig(**{field: value})
+
+
+def test_config_takes_numpy_bools_as_bools(tmp_path):
+    config = ForestConfig(n_estimators=2, bootstrap=np.False_, normalize_targets=np.True_)
+    assert type(config.bootstrap) is bool and type(config.normalize_targets) is bool
+    path = tmp_path / "m.model"
+    save(fit(make_synthetic(20, 2, 1, seed=0), config), path)
+    assert load(path).config == ForestConfig(n_estimators=2, bootstrap=False, normalize_targets=True)
 
 
 def test_config_takes_numpy_integers_as_ints(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 from itertools import chain, combinations
 
 import numpy as np
@@ -6,8 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_forest, leaf, random_forest, split
-from ruleforest import extract_paths, mine, predict, predict_batch, predict_tree, rank_features
-from ruleforest.forest import LEAF, WALK_CHUNK_ELEMENTS
+from ruleforest import (
+    AllowedError,
+    ForestConfig,
+    explain,
+    extract_paths,
+    fit,
+    load,
+    make_synthetic,
+    mine,
+    predict,
+    predict_batch,
+    predict_tree,
+    rank_features,
+    save,
+)
+from ruleforest.forest import LEAF, WALK_CHUNK_ELEMENTS, Forest
 from ruleforest.paths import AssociationModel, Path, Paths
 
 
@@ -134,7 +149,7 @@ def test_path_containment_and_leaf_change(rng):
         np.testing.assert_array_equal(predict_tree(tree, x), path.leaf_prediction)
 
 
-def reference_extract_paths(forest, x):
+def per_tree_extract_paths(forest, x):
     """Oracle: trace each tree on its own, one node at a time."""
     x = np.asarray(x, dtype=np.float64)
     paths = []
@@ -188,7 +203,7 @@ def test_packed_walk_matches_per_tree_oracle(shape, seed):
     forest = random_forest(rng, **FOREST_SHAPES[shape])
     X = np.vstack([instances_on_thresholds(forest, rng, 3), rng.uniform(-10, 10, size=(3, forest.d))])
     for x in X:
-        got, want = extract_paths(forest, x), reference_extract_paths(forest, x)
+        got, want = extract_paths(forest, x), per_tree_extract_paths(forest, x)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert (g.tree_index, g.conditions, g.leaf_id) == (w.tree_index, w.conditions, w.leaf_id)
@@ -199,6 +214,126 @@ def test_packed_walk_matches_per_tree_oracle(shape, seed):
     batch = predict_batch(forest, X)
     for x, row in zip(X, batch):
         np.testing.assert_allclose(row, predict(forest, x), rtol=0, atol=1e-12)
+
+
+def reference_extract_paths(forest, x):
+    """Oracle: the level walk over the packed forest that tightens each
+    path's bounds as it goes, one depth level per step for all trees."""
+    x = np.asarray(x, dtype=np.float64)
+    lo = np.full((forest.n_trees, forest.d), -np.inf)
+    hi = np.full((forest.n_trees, forest.d), np.inf)
+    used = np.zeros((forest.n_trees, forest.d), dtype=bool)
+    node = forest.roots.copy()
+    for _ in range(int(forest.depths.max())):
+        feature, threshold = forest.feature[node], forest.threshold[node]
+        go_left = x[feature] <= threshold  # at a leaf, feature -1 reads a value no step depends on
+        inner = feature != LEAF
+        tree, f, thr, left = np.flatnonzero(inner), feature[inner], threshold[inner], go_left[inner]
+        used[tree, f] = True
+        below, above = (tree[left], f[left]), (tree[~left], f[~left])
+        hi[below] = np.minimum(hi[below], thr[left])
+        lo[above] = np.maximum(lo[above], thr[~left])
+        node = forest._children[2 * node + go_left]
+    return Paths(lo, hi, used, node - forest.roots, forest.value[node])
+
+
+# trees that split one feature twice in conflicting ways, so some leaves no point reaches
+CONFLICTING_SPECS = [
+    split(0, 5.0, split(0, 7.0, leaf([1.0]), leaf([2.0])), leaf([3.0])),
+    split(0, 2.0, leaf([4.0]), split(0, 1.0, leaf([5.0]), split(1, 0.0, leaf([6.0]), leaf([7.0])))),
+    split(1, 3.0, split(1, 3.0, leaf([8.0]), leaf([9.0])), split(1, -3.0, leaf([10.0]), leaf([11.0]))),
+    split(0, 0.0, split(0, -0.0, leaf([12.0]), leaf([13.0])), split(0, -0.0, leaf([14.0]), leaf([15.0]))),
+    leaf([16.0]),
+]
+
+
+@functools.cache
+def fitted_forest(kind):
+    data = make_synthetic(60, 4, 2, seed=5)
+    config = {
+        "sqrt": ForestConfig(n_estimators=12, min_samples_leaf=2, seed=4),
+        "all_features": ForestConfig(n_estimators=6, max_features="all", bootstrap=False, seed=1),
+    }[kind]
+    return fit(data, config)
+
+
+def oracle_forest(kind, rng):
+    if kind in FOREST_SHAPES:
+        return random_forest(rng, **FOREST_SHAPES[kind])
+    if kind == "conflicting":
+        return build_forest(CONFLICTING_SPECS, d=2)
+    return fitted_forest(kind)
+
+
+@pytest.mark.parametrize("kind", sorted(FOREST_SHAPES) + ["conflicting", "sqrt", "all_features"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_leaf_boxes_extract_what_the_reference_walk_does(kind, seed):
+    rng = np.random.default_rng(seed)
+    forest = oracle_forest(kind, rng)
+    low, high = forest.feature_bounds[:, 0], forest.feature_bounds[:, 1]
+    X = np.vstack([
+        instances_on_thresholds(forest, rng, 4),
+        rng.uniform(low, high, size=(2, forest.d)),
+        low - rng.uniform(0.0, 5.0, forest.d),  # below the training bounds
+        high + rng.uniform(0.0, 5.0, forest.d),  # above them
+        np.where(rng.random(forest.d) < 0.5, -1e300, 1e300),
+    ])
+    for x in X:
+        got, want = extract_paths(forest, x), reference_extract_paths(forest, x)
+        for name in ("lo", "hi", "used", "leaf_id", "leaf_prediction"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+@pytest.mark.parametrize("kind", sorted(FOREST_SHAPES) + ["conflicting", "sqrt"])
+def test_leaf_boxes_hold_every_root_path(rng, kind):
+    """Every leaf's row, the unreachable ones too, holds the tightest
+    thresholds on its root path, found by a recursive descent of its tree."""
+    forest = oracle_forest(kind, rng)
+    boxes = forest.leaf_boxes
+    leaves = np.flatnonzero(forest.feature == LEAF)
+    assert boxes.lo.shape == boxes.hi.shape == (leaves.size, forest.d)
+    np.testing.assert_array_equal(boxes.row[leaves], np.arange(leaves.size))
+
+    def descend(node, lo, hi):
+        f = forest.feature[node]
+        if f == LEAF:
+            np.testing.assert_array_equal(boxes.lo[boxes.row[node]], lo)
+            np.testing.assert_array_equal(boxes.hi[boxes.row[node]], hi)
+            return
+        thr = forest.threshold[node]
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[f], right_lo[f] = min(hi[f], thr), max(lo[f], thr)
+        descend(forest._children[2 * node + 1], lo, left_hi)
+        descend(forest._children[2 * node], right_lo, hi)
+
+    for root in forest.roots:
+        descend(root, np.full(forest.d, -np.inf), np.full(forest.d, np.inf))
+
+
+def test_leaf_boxes_are_built_once_on_first_extraction(tmp_path, monkeypatch):
+    builds = []
+    build = Forest.leaf_boxes.func
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    lazy = functools.cached_property(counting)
+    lazy.__set_name__(Forest, "leaf_boxes")
+    monkeypatch.setattr(Forest, "leaf_boxes", lazy)
+    data = make_synthetic(40, 3, 2, seed=2)
+    forest = fit(data, ForestConfig(n_estimators=4, seed=0))
+    path = tmp_path / "m.model"
+    save(forest, path)
+    loaded = load(path)
+    assert builds == []
+    assert "leaf_boxes" not in forest.__dict__ and "leaf_boxes" not in loaded.__dict__
+    for x in data.features[:2]:
+        explain(loaded, x, AllowedError.global_mean(0.3))
+    assert builds == [loaded]
 
 
 @pytest.mark.parametrize("rows", ["none", "one", "chunks_plus_remainder"])

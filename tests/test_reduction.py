@@ -1,4 +1,5 @@
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from ruleforest import (
 import ruleforest.reduction as reduction_module
 from ruleforest.forest import LEAF
 from ruleforest.paths import rank_features
-from ruleforest.reduction import Rule, RuleTerm, explain, substituted_predictions
+from ruleforest.reduction import SUBSTITUTIONS, Rule, RuleTerm, _step_gaps, explain, substituted_predictions
 
 
 def formula_oracle(preds, mins, maxs, kept):
@@ -280,6 +281,115 @@ def test_single_pass_matches_loop_oracle(rng, substitution, rank_order):
             np.testing.assert_allclose(got.envelope, envelope, rtol=0, atol=1e-12)
             if not got.excluded:
                 np.testing.assert_array_equal(got.local_errors, 0.0)
+
+
+def reference_step_gaps(preds, leaf_min, leaf_max, entry, n_steps, substitution):
+    """Oracle: the step totals with every row added into its entry step's
+    bin by ``np.add.at``, one tree at a time."""
+    low, high = preds - leaf_min, leaf_max - preds
+    take_low = low >= high
+    rows = np.hstack([low, high, np.where(take_low, low, 0.0), np.where(take_low, 0.0, high)])
+    by_entry = np.zeros((n_steps + 1, rows.shape[1]))
+    np.add.at(by_entry, entry, rows)
+    totals = np.cumsum(by_entry[::-1], axis=0)[::-1][1:]
+    low_total, high_total, low_taken, high_taken = np.hsplit(totals, 4)
+    if substitution == "per_target":
+        take_low = low_total >= high_total
+        low_taken, high_taken = np.where(take_low, low_total, 0.0), np.where(take_low, 0.0, high_total)
+    return take_low, low_total, high_total, high_taken - low_taken, low_taken + high_taken
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()  # signed zeros included
+
+
+def assert_step_gaps_exact(preds, leaf_min, leaf_max, entry, n_steps):
+    paths = SimpleNamespace(leaf_prediction=preds)
+    forest = SimpleNamespace(leaf_min=leaf_min, leaf_max=leaf_max)
+    for substitution in SUBSTITUTIONS:
+        got = _step_gaps(paths, forest, entry, n_steps, substitution)
+        assert_same_bits(got, reference_step_gaps(preds, leaf_min, leaf_max, entry, n_steps, substitution))
+        # from the step every tree has entered on, nothing is excluded
+        assert not got.abs_shift[entry.max() :].any()
+        assert not np.signbit(got.abs_shift[entry.max() :]).any()
+
+
+GAP_VALUES = [0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 2.5, 1e-300, -1e-300, 3e16, -7.25]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_step_totals_equal_add_at_bit_for_bit(data):
+    n, m, n_steps = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+
+    def values():
+        return np.asarray(data.draw(st.lists(st.sampled_from(GAP_VALUES), min_size=n * m, max_size=n * m))).reshape(n, m)
+
+    entry = np.asarray(data.draw(st.lists(st.integers(0, n_steps), min_size=n, max_size=n)), dtype=np.int64)
+    assert_step_gaps_exact(values(), values(), values(), entry, n_steps)
+
+
+def test_step_totals_equal_add_at_on_forests(rng):
+    for _ in range(100):
+        forest, _, paths = forest_and_paths(rng, n_trees=int(rng.integers(1, 30)), d=4, m=int(rng.integers(1, 4)), depth=4)
+        n_steps = int(rng.integers(1, 6))
+        # entry steps up to n_steps, the step no ranked feature set reaches
+        entry = rng.integers(0, int(rng.integers(1, n_steps + 2)), size=len(paths))
+        assert_step_gaps_exact(paths.leaf_prediction, forest.leaf_min, forest.leaf_max, entry, n_steps)
+
+
+def reference_accepts(allowed, local_errors):
+    """Oracle: the budget test on one step's errors."""
+    if allowed.scheme == "global_mean":
+        return float(local_errors.mean()) <= float(allowed.values[0])
+    return bool((local_errors <= allowed.values).all())
+
+
+@pytest.mark.parametrize("m", [1, 5, 8, 9, 17, 40])  # around the block edges of numpy's pairwise sums
+def test_budget_test_over_steps_equals_accepts_row_by_row(rng, m):
+    for _ in range(40):
+        errors = rng.random((int(rng.integers(1, 12)), m)) * 10.0 ** rng.integers(-3, 3, size=m)
+        row = errors[rng.integers(errors.shape[0])]
+        mean = row.mean()
+        budgets = [AllowedError.global_mean(v) for v in (mean, np.nextafter(mean, 0), np.nextafter(mean, 1), rng.uniform(0, 1))]
+        budgets += [AllowedError.per_target(v) for v in (row, np.nextafter(row, 0), rng.uniform(0, errors.max(), m))]
+        for allowed in budgets:
+            want = [reference_accepts(allowed, step) for step in errors]
+            assert allowed.passes(errors).tolist() == want
+            assert allowed.passes(np.asfortranarray(errors)).tolist() == want
+            assert [allowed.accepts(step) for step in errors] == want
+
+
+@pytest.mark.parametrize("substitution", SUBSTITUTIONS)
+def test_trace_records_every_step(rng, substitution):
+    for _ in range(15):
+        m = int(rng.integers(1, 4))
+        forest, _, paths = forest_and_paths(rng, n_trees=int(rng.integers(2, 12)), d=4, m=m, depth=4)
+        assoc = mine(paths)
+        budgets = [AllowedError.global_mean(v) for v in (0.0, float(rng.uniform(0, 2)), 1e18)]
+        budgets.append(AllowedError.per_target(rng.uniform(0, 2, m)))
+        for allowed in budgets:
+            got = reduce_paths(paths, assoc, allowed, forest, substitution=substitution)
+            trace = got.trace
+            steps = len(trace.ranking) + 1
+            assert trace.ranking == rank_features(assoc)
+            assert trace.kept_counts.shape == (steps,) and trace.local_errors.shape == (steps, m)
+            np.testing.assert_array_equal(trace.local_errors[trace.accepted_step], got.local_errors)
+            assert trace.kept_counts[trace.accepted_step] == len(got.kept)
+            assert (np.diff(trace.kept_counts) >= 0).all() and trace.kept_counts[-1] == len(paths)
+            assert got.feature_set == frozenset(trace.ranking[: trace.accepted_step])
+            for k in range(steps):
+                enriched = set(trace.ranking[:k])
+                kept = {i for i, p in enumerate(paths) if p.feature_set <= enriched}
+                assert trace.kept_counts[k] == len(kept)
+                if kept:
+                    want = local_error(paths, kept, forest, substitution)
+                    np.testing.assert_allclose(trace.local_errors[k], want, rtol=0, atol=1e-12)
+                if k < trace.accepted_step:  # an earlier step kept nothing or missed the budget
+                    assert not kept or not allowed.accepts(trace.local_errors[k])
 
 
 # --- default allowed error ---------------------------------------------------
@@ -702,3 +812,6 @@ def test_explain_pipeline(rng):
     assert result.rule.kept_path_count == len(result.reduction.kept)
     assert result.rendered
     assert result.elapsed_seconds >= 0
+    assert list(result.timings) == ["extract", "mine", "reduce", "compose"]
+    assert min(result.timings.values()) >= 0
+    assert sum(result.timings.values()) == pytest.approx(result.elapsed_seconds, rel=1e-9, abs=1e-12)
