@@ -76,10 +76,12 @@ def _max_features(text: str) -> str:
 
 
 def _budgets(text: str) -> str:
-    """An argparse type for comma-separated allowed errors, each >= 0, kept as typed."""
-    for value in text.split(","):
-        if value.strip():
-            _non_negative(value)
+    """An argparse type for comma-separated allowed errors, at least one, each >= 0, kept as typed."""
+    values = [value for value in text.split(",") if value.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
+    for value in values:
+        _non_negative(value)
     return text
 
 
@@ -266,8 +268,8 @@ def cmd_evaluate(args) -> int:
             [
                 row.label,
                 f"{row.coverage:.4f}",
-                "" if row.rule_precision_mae is None else f"{row.rule_precision_mae:.4f}",
-                "" if row.rule_precision_truth_mae is None else f"{row.rule_precision_truth_mae:.4f}",
+                f"{row.rule_precision_mae:.4f}",
+                f"{row.rule_precision_truth_mae:.4f}",
                 f"{row.rule_length:.2f}",
             ]
             for row in rows

@@ -17,8 +17,8 @@ from .reduction import AllowedError, Rule, compose_rule, explain, reduce_paths
 class ExperimentRow:
     label: str
     coverage: float
-    rule_precision_mae: float | None
-    rule_precision_truth_mae: float | None  # vs ground-truth targets, supplementary
+    rule_precision_mae: float
+    rule_precision_truth_mae: float  # vs ground-truth targets, supplementary
     rule_length: float
 
 
@@ -42,24 +42,24 @@ def coverage(rule: Rule, data: Dataset) -> float:
     return float(covered_mask(rule, data).mean())
 
 
+def _mean_gap(rule: Rule, rows: np.ndarray) -> float | None:
+    """Mean absolute gap between the rule's consequent and the given (n, m)
+    rows; None when there are no rows."""
+    if rows.shape[0] == 0:
+        return None
+    consequent = np.asarray([v for _, v, _ in rule.consequent])
+    return float(np.abs(rows - consequent).mean())
+
+
 def rule_precision(rule: Rule, data: Dataset, forest: Forest) -> float | None:
     """MAE between the rule's predicted values and the model's predictions on
     covered rows; None when no row is covered."""
-    mask = covered_mask(rule, data)
-    if not mask.any():
-        return None
-    preds = predict_batch(forest, data.features[mask])
-    consequent = np.asarray([v for _, v, _ in rule.consequent])
-    return float(np.abs(preds - consequent).mean())
+    return _mean_gap(rule, predict_batch(forest, data.features[covered_mask(rule, data)]))
 
 
 def rule_precision_truth(rule: Rule, data: Dataset) -> float | None:
     """Same comparison against the ground-truth targets instead of the model."""
-    mask = covered_mask(rule, data)
-    if not mask.any():
-        return None
-    consequent = np.asarray([v for _, v, _ in rule.consequent])
-    return float(np.abs(data.targets[mask] - consequent).mean())
+    return _mean_gap(rule, data.targets[covered_mask(rule, data)])
 
 
 def rule_length(rule: Rule) -> int:
@@ -75,55 +75,47 @@ def run_experiment(
     min_support: float = 0.1,
     rank_order: str = "ascending",
 ) -> list[ExperimentRow]:
-    """Per-fold: fit, explain every test instance at each budget, score the
-    rule against the test split; rows are per-budget means over all test
-    instances of all folds."""
-    if k < 2:
-        raise ValueError("need at least 2 folds")
+    """Per-fold: fit, predict the test split once, explain every test
+    instance at each budget and score the rule against the test split; rows
+    are per-budget means over all test instances of all folds.
+
+    Each rule is scored from one coverage mask. ``compose_rule`` widens the
+    rule's box to its instance, so the mask is never empty.
+    """
     plan = kfold(data.n, k, seed)
-    sums = {
-        i: {"coverage": 0.0, "precision": 0.0, "precision_n": 0, "truth": 0.0, "length": 0.0, "n": 0}
-        for i in range(len(allowed_errors))
-    }
+    sums = np.zeros((len(allowed_errors), 4))  # coverage, precision, truth precision, length
     for fold in range(k):
         model = fit(data.subset(plan.train_rows(fold)), config)
         test = data.subset(plan.test_rows(fold))
-        for row in range(test.n):
-            x = test.features[row]
+        predictions = predict_batch(model, test.features)
+        for x in test.features:
             paths = extract_paths(model, x)
             assoc = mine(paths, min_support)
             for i, allowed in enumerate(allowed_errors):
                 reduction = reduce_paths(paths, assoc, allowed, model, rank_order)
                 rule = compose_rule(reduction, paths, x, model)
-                acc = sums[i]
-                acc["coverage"] += coverage(rule, test)
-                acc["length"] += rule_length(rule)
-                acc["n"] += 1
-                precision = rule_precision(rule, test, model)
-                truth = rule_precision_truth(rule, test)
-                if precision is not None:
-                    acc["precision"] += precision
-                    acc["truth"] += truth
-                    acc["precision_n"] += 1
-    rows = []
-    for i, allowed in enumerate(allowed_errors):
-        acc = sums[i]
-        label = (
-            f"global={allowed.values[0]:g}"
-            if allowed.scheme == "global_mean"
-            else "per_target=" + ",".join(f"{v:g}" for v in allowed.values)
+                mask = covered_mask(rule, test)
+                sums[i] += (
+                    mask.mean(),
+                    _mean_gap(rule, predictions[mask]),
+                    _mean_gap(rule, test.targets[mask]),
+                    rule_length(rule),
+                )
+    means = sums / data.n  # the folds' test splits partition the rows
+    return [
+        ExperimentRow(
+            label=(
+                f"global={allowed.values[0]:g}"
+                if allowed.scheme == "global_mean"
+                else "per_target=" + ",".join(f"{v:g}" for v in allowed.values)
+            ),
+            coverage=float(cov),
+            rule_precision_mae=float(precision),
+            rule_precision_truth_mae=float(truth),
+            rule_length=float(length),
         )
-        has_covered = acc["precision_n"] > 0
-        rows.append(
-            ExperimentRow(
-                label=label,
-                coverage=acc["coverage"] / acc["n"],
-                rule_precision_mae=acc["precision"] / acc["precision_n"] if has_covered else None,
-                rule_precision_truth_mae=acc["truth"] / acc["precision_n"] if has_covered else None,
-                rule_length=acc["length"] / acc["n"],
-            )
-        )
-    return rows
+        for allowed, (cov, precision, truth, length) in zip(allowed_errors, means)
+    ]
 
 
 def make_synthetic(n: int, d: int, m: int, noise: float = 0.1, seed: int = 0) -> Dataset:

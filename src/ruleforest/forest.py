@@ -28,6 +28,7 @@ walk ends on every forest that can be built.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -308,7 +309,9 @@ def predict_batch(forest: Forest, X) -> np.ndarray:
     """Forest predictions for an (n, d) batch; returns an (n, m) array.
 
     Rows are walked in chunks of about WALK_CHUNK_ELEMENTS (tree, row) pairs,
-    which keeps the walk's temporaries small.
+    which keeps the walk's temporaries small. Each row's leaf values are
+    totalled as one (trees, m) block, the sum ``predict`` takes, so a row's
+    prediction does not depend on the rows that share its batch.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.d:
@@ -317,7 +320,7 @@ def predict_batch(forest: Forest, X) -> np.ndarray:
     step = max(1, WALK_CHUNK_ELEMENTS // forest.n_trees)
     for start in range(0, X.shape[0], step):
         leaves = forest.walk(X[start : start + step])
-        total[start : start + step] = forest.value[leaves].sum(axis=0)
+        total[start : start + step] = forest.value[np.ascontiguousarray(leaves.T)].sum(axis=1)
     return total / forest.n_trees
 
 
@@ -489,10 +492,18 @@ def save(forest: Forest, path) -> None:
         json.dump(doc, fh)
 
 
+def _numbers_only(values: list, nested: bool) -> bool:
+    """Whether a parsed JSON list (of lists, if ``nested``) holds only ints
+    and floats. numpy would read a bool beside numbers as 1 or 0, and a cast
+    to float would parse a numeric string."""
+    return set(map(type, itertools.chain.from_iterable(values) if nested else values)) <= {int, float}
+
+
 def _read_tree(arrays: dict, m: int) -> Tree:
     """One tree, each node array checked against ``_TREE_ARRAYS`` before it
-    is cast, so no value is rounded or wrapped into range. Building the
-    forest checks the structure (feature range, child order, finite numbers)."""
+    is cast, so no value is rounded or wrapped into range and no bool is read
+    as a number. Building the forest checks the structure (feature range,
+    child order, finite numbers)."""
     n = len(arrays["feature"]) if isinstance(arrays["feature"], list) else 0
     if n < 1:
         raise ModelError("needs at least one node")
@@ -504,6 +515,8 @@ def _read_tree(arrays: dict, m: int) -> Tree:
             raise ModelError(f"{name} has shape {array.shape}, expected {shape}")
         if array.dtype.kind not in _HOLDS[holds]:
             raise ModelError(f"{name} holds {array.dtype} values, expected {holds}")
+        if not _numbers_only(arrays[name], per_target):  # after the kind test, only a bool can fail
+            raise ModelError(f"{name} holds a bool, expected {holds}")
         cast[name] = array.astype(dtype, copy=False)
     return Tree(**cast)
 
@@ -523,8 +536,9 @@ def load(path) -> Forest:
         raise ModelError(f"{path}: corrupt model file ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"{path}: not a {MODEL_FORMAT} file")
-    if doc.get("version") != MODEL_VERSION:
-        raise ModelError(f"{path}: unsupported model version {doc.get('version')!r}")
+    version = doc.get("version")
+    if isinstance(version, bool) or version != MODEL_VERSION:  # True == 1
+        raise ModelError(f"{path}: unsupported model version {version!r}")
     corrupt = (KeyError, TypeError, ValueError, OverflowError)
     try:
         config = ForestConfig(**doc["config"])
@@ -540,6 +554,8 @@ def load(path) -> Forest:
     d, m = len(feature_names), len(target_names)
     if bounds.shape != (d, 2) or not np.isfinite(bounds).all():
         raise ModelError(f"{path}: feature_bounds must be a finite ({d}, 2) array")
+    if not _numbers_only(doc["feature_bounds"], True):
+        raise ModelError(f"{path}: feature_bounds must hold numbers, not bools or strings")
     trees = []
     for t, arrays in enumerate(parsed):
         try:

@@ -286,10 +286,12 @@ RANGE_CASES = {
     "evaluate_folds_zero": ["evaluate", "--folds", "0"],
     "evaluate_folds_one": ["evaluate", "--folds", "1"],
     "evaluate_allowed_errors_negative": ["evaluate", "--allowed-errors", "0.1,-1"],
+    "evaluate_allowed_errors_empty": ["evaluate", "--allowed-errors", " "],
     "explain_min_support_zero": ["explain", "--min-support", "0"],
     "explain_allowed_error_negative": ["explain", "--allowed-error", "-1"],
     "bench_synthetic_zero": ["bench", "--synthetic", "0,4,2"],
     "bench_noise_negative": ["bench", "--noise", "-1"],
+    "bench_allowed_errors_empty": ["bench", "--allowed-errors", ","],
 }
 
 

@@ -20,7 +20,8 @@ from ruleforest import (
     scalability_bench,
     standardize_targets,
 )
-from ruleforest.evaluation import rule_precision_truth
+from ruleforest.dataset import kfold
+from ruleforest.evaluation import ExperimentRow, rule_precision_truth
 from ruleforest.reduction import Rule, RuleTerm
 
 
@@ -156,6 +157,46 @@ def test_run_experiment_labels_and_rows():
         k=2,
     )
     assert [r.label for r in rows] == ["global=0.1", "per_target=0.1,0.2"]
+
+
+def experiment_oracle(data, config, allowed_errors, k, seed=0, min_support=0.1):
+    """The experiment as one loop per rule over the public scorers: every
+    rule takes its own masks and its own predictions of the covered rows."""
+    plan = kfold(data.n, k, seed)
+    sums = [[0.0, 0.0, 0.0, 0.0] for _ in allowed_errors]
+    for fold in range(k):
+        model = fit(data.subset(plan.train_rows(fold)), config)
+        test = data.subset(plan.test_rows(fold))
+        for row in range(test.n):
+            x = test.features[row]
+            paths = extract_paths(model, x)
+            assoc = mine(paths, min_support)
+            for acc, allowed in zip(sums, allowed_errors):
+                rule = compose_rule(reduce_paths(paths, assoc, allowed, model), paths, x, model)
+                assert coverage(rule, test.subset(np.array([row]))) == 1.0  # the rule covers its own row
+                acc[0] += coverage(rule, test)
+                acc[1] += rule_precision(rule, test, model)
+                acc[2] += rule_precision_truth(rule, test)
+                acc[3] += rule_length(rule)
+    return [[total / data.n for total in acc] for acc in sums]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize(
+    "data, per_target",
+    [
+        (make_synthetic(36, 4, 1, seed=3), [0.2]),
+        (standardize_targets(make_synthetic(45, 5, 3, seed=8)), [0.1, 0.5, 0.2]),
+    ],
+    ids=["one_target", "three_targets"],
+)
+def test_run_experiment_matches_per_rule_oracle(data, per_target, k):
+    config = ForestConfig(n_estimators=8, seed=2, min_samples_leaf=3)
+    allowed = [AllowedError.global_mean(v) for v in (0.0, 0.3, 1e9)] + [AllowedError.per_target(per_target)]
+    rows = run_experiment(data, config, allowed, k=k)
+    labels = ["global=0", "global=0.3", "global=1e+09", "per_target=" + ",".join(f"{v:g}" for v in per_target)]
+    expected = [ExperimentRow(label, *means) for label, means in zip(labels, experiment_oracle(data, config, allowed, k))]
+    assert rows == expected
 
 
 def test_run_experiment_needs_two_folds():

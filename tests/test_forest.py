@@ -207,6 +207,13 @@ CORRUPTIONS = {
     "normalize_targets_null": lambda doc: _set(doc, "config", "normalize_targets", None),
     "bootstrap_list": lambda doc: _set(doc, "config", "bootstrap", [1]),
     "max_features_bool": lambda doc: _set(doc, "config", "max_features", True),
+    # bools, which numpy would read as 1 and 0 beside numbers
+    "feature_true": lambda doc: _set(doc["trees"][0], "feature", 0, True),
+    "threshold_true": lambda doc: _set(doc["trees"][0], "threshold", 0, True),
+    "value_false": lambda doc: _set(doc["trees"][0], "value", -1, [False, 0.0]),
+    "bounds_true": lambda doc: _set(doc, "feature_bounds", 0, [True, 2.0]),
+    "bounds_numeric_string": lambda doc: _set(doc, "feature_bounds", 0, ["-4", "4.5"]),
+    "version_true": lambda doc: doc.update(version=True),
 }
 
 
@@ -329,6 +336,8 @@ def test_mutated_model_file_fails_cleanly_or_predicts(tmp_path, capsys, location
         forest = None
     else:
         assert np.isfinite(predict(forest, np.zeros(forest.d))).all()
+    if mutation == "swap bool" and location[0] in ("trees", "feature_bounds", "version"):
+        assert forest is None
     code = main(["inspect", "--model", str(path)])
     err = capsys.readouterr().err
     assert code == (2 if forest is None else 0)
@@ -395,6 +404,17 @@ def test_predict_batch_matches_predict(rng):
     batch = predict_batch(forest, X)
     for i in range(20):
         np.testing.assert_allclose(batch[i], predict(forest, X[i]), atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_predict_batch_row_does_not_depend_on_the_batch(m):
+    # a row's prediction is the same sum whichever rows share its batch, so
+    # one pass over a fold's rows serves any subset of them
+    ds = make_synthetic(40, 3, m, seed=m)
+    forest = fit(ds, ForestConfig(n_estimators=30, seed=0, min_samples_leaf=2))
+    batch = predict_batch(forest, ds.features)
+    np.testing.assert_array_equal(batch[::3], predict_batch(forest, ds.features[::3]))
+    np.testing.assert_array_equal(batch, np.vstack([predict(forest, x) for x in ds.features]))
 
 
 def test_min_samples_leaf_too_large():
