@@ -6,6 +6,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import time
 from contextlib import nullcontext
@@ -68,38 +69,33 @@ _fraction = _float_where(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _non_negative = _float_where(lambda v: v >= 0.0, ">= 0")
 
 
-def _max_features(text: str) -> str:
-    """An argparse type for all, sqrt or a fraction in (0, 1], kept as typed."""
-    if text not in ("all", "sqrt"):
-        _fraction(text)
-    return text
+def _max_features(text: str) -> str | float:
+    """An argparse type for all, sqrt or a fraction in (0, 1]."""
+    return text if text in ("all", "sqrt") else _fraction(text)
 
 
-def _budgets(text: str) -> str:
-    """An argparse type for comma-separated allowed errors, at least one, each >= 0, kept as typed."""
-    values = [value for value in text.split(",") if value.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
-    for value in values:
-        _non_negative(value)
-    return text
+def _float_list(item):
+    """An argparse type for comma-separated values, at least one, each parsed by ``item``."""
+
+    def parse(text: str) -> list[float]:
+        values = [item(value) for value in text.split(",") if value.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
+        return values
+
+    return parse
 
 
-def _synthetic_shape(text: str) -> str:
-    """An argparse type for n,d,m, each >= 1, kept as typed."""
+_budgets = _float_list(_non_negative)
+_finite_numbers = _float_list(_float_where(math.isfinite, "finite"))
+
+
+def _synthetic_shape(text: str) -> tuple[int, ...]:
+    """An argparse type for n,d,m, each >= 1."""
     values = text.split(",")
     if len(values) != 3:
         raise argparse.ArgumentTypeError(f"expected n,d,m, got {text!r}")
-    for value in values:
-        _int_at_least(1)(value)
-    return text
-
-
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise UsageError(f"invalid numeric list {text!r}") from None
+    return tuple(map(_int_at_least(1), values))
 
 
 def _config_from_args(args) -> ForestConfig:
@@ -107,7 +103,7 @@ def _config_from_args(args) -> ForestConfig:
         n_estimators=args.estimators,
         max_depth=args.max_depth,
         min_samples_leaf=args.min_leaf,
-        max_features=args.max_features if args.max_features in ("all", "sqrt") else float(args.max_features),
+        max_features=args.max_features,
         bootstrap=not args.no_bootstrap,
         seed=args.seed,
     )
@@ -133,8 +129,11 @@ def _load_dataset(args) -> Dataset:
 
 
 def _effective_config(command: str, args) -> str:
+    """The command and every parsed flag value, a list comma-separated."""
     pairs = " ".join(
-        f"{key}={value}" for key, value in sorted(vars(args).items()) if key != "func"
+        f"{key}={','.join(map(str, value)) if isinstance(value, (list, tuple)) else value}"
+        for key, value in sorted(vars(args).items())
+        if key != "func"
     )
     return f"# ruleforest {command} {pairs}"
 
@@ -168,10 +167,9 @@ def cmd_train(args) -> int:
 
 def _instance_from_args(args, forest: Forest, dataset) -> np.ndarray:
     if args.instance is not None:
-        values = _parse_floats(args.instance)
-        if len(values) != forest.d:
-            raise UsageError(f"instance has {len(values)} values, model expects {forest.d} features")
-        return np.asarray(values)
+        if len(args.instance) != forest.d:
+            raise UsageError(f"instance has {len(args.instance)} values, model expects {forest.d} features")
+        return np.asarray(args.instance)
     if args.instance_index is None or args.data is None or args.targets is None:
         raise UsageError("provide --instance values or --instance-index with --data and --targets")
     data = dataset()
@@ -187,7 +185,7 @@ def cmd_explain(args) -> int:
     dataset = functools.cache(lambda: _load_dataset(args))  # the CSV is parsed at most once
     x = _instance_from_args(args, forest, dataset)
     if args.allowed_error is not None:
-        allowed = _resolve_allowed(_parse_floats(args.allowed_error), args.scheme, forest.m)
+        allowed = _resolve_allowed(args.allowed_error, args.scheme, forest.m)
     elif args.data is not None and args.targets is not None:
         allowed = default_allowed_error(dataset(), forest.config, k=10)
         if args.scheme == "global":
@@ -254,8 +252,7 @@ def _write_csv(args, command: str, header: list[str], rows) -> None:
 def cmd_evaluate(args) -> int:
     data = _load_dataset(args)
     config = _config_from_args(args)
-    values = _parse_floats(args.allowed_errors)
-    allowed = [AllowedError.global_mean(v) for v in values]
+    allowed = [AllowedError.global_mean(v) for v in args.allowed_errors]
     rows = run_experiment(
         data, config, allowed, k=args.folds, seed=args.seed, min_support=args.min_support
     )
@@ -279,13 +276,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    n, d, m = (int(v) for v in args.synthetic.split(","))
-    data = make_synthetic(n, d, m, noise=args.noise, seed=args.seed)
+    if args.allowed_errors != sorted(args.allowed_errors):
+        raise UsageError(f"--allowed-errors must be ascending, got {args.allowed_errors}")
+    data = make_synthetic(*args.synthetic, noise=args.noise, seed=args.seed)
     config = _config_from_args(args)
     rows = scalability_bench(
         data,
         config,
-        _parse_floats(args.allowed_errors),
+        args.allowed_errors,
         instances=args.instances,
         seed=args.seed,
         min_support=args.min_support,
@@ -338,7 +336,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("explain", help="produce a conclusive rule for one instance")
     p.add_argument("--model", required=True)
-    p.add_argument("--instance", help="inline comma-separated feature values")
+    p.add_argument("--instance", type=_finite_numbers, help="inline comma-separated feature values")
     p.add_argument("--instance-index", type=int, help="row index into --data")
     _add_data_flags(p, required=False)
     p.add_argument("--allowed-error", type=_budgets, help="one value (global) or one per target")

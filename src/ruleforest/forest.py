@@ -5,24 +5,24 @@ exact CART: each node runs one split search over all of its candidate
 features at once (one sort of the candidate columns and one set of
 cumulative target sums), and the tree grows depth first from an explicit
 stack, in the order that fixes which candidates each node draws. Building a
-``Forest`` packs every tree's nodes into one set of arrays with one root
-offset per tree: child links become global node indices and leaves link to
-themselves, so a fixed number of steps (the deepest tree's depth) routes
-every (tree, row) pair to its leaf. ``Forest.walk`` takes those steps for all
-trees at once, one depth level per step, over a (trees, rows) node array and
-returns the leaves; ``predict``, ``predict_batch`` and path extraction all
-use it. ``Forest.leaf_boxes`` holds every leaf's box, the tightest thresholds
-on its root path per feature, as two (leaves, d) arrays (about 1.2 MB for
-500 trees of 7.6k leaves over 10 features); it is built by one level walk
-the first time a path is extracted, so ``fit``, ``load`` and prediction never
-pay for it. ``Forest.reach`` walks a box of feature intervals the same way
-and collects every leaf some point of the box reaches. A ``Tree``'s
-feature, threshold and value arrays are views into the packed arrays, and
-the per-target leaf extremes, which the reduction step needs to bound what an
-excluded tree could have predicted, are stacked once as (trees, m) arrays.
-The structure is checked when the forest is built (features in range,
-children after their parent inside the same tree, finite numbers), so the
-walk ends on every forest that can be built.
+``Forest`` packs the six node arrays of every tree into one read-only node
+table with one root offset per tree, and its trees become read-only views
+into that table. For the walks, child links become global node indices and
+leaves link to themselves, so a fixed number of steps (the deepest tree's
+depth) routes every (tree, row) pair to its leaf. ``Forest.walk`` takes
+those steps for all trees at once, one depth level per step, over a (trees,
+rows) node array and returns the leaves; ``predict``, ``predict_batch`` and
+path extraction all use it. ``Forest.leaf_boxes`` holds every leaf's box,
+the tightest thresholds on its root path per feature, as two (leaves, d)
+arrays (about 1.2 MB for 500 trees of 7.6k leaves over 10 features); it is
+built by one level walk the first time a path is extracted, so ``fit``,
+``load`` and prediction never pay for it. ``Forest.reach`` walks a box of
+feature intervals the same way and collects every leaf some point of the box
+reaches. The per-target leaf extremes, which the reduction step needs to
+bound what an excluded tree could have predicted, are stacked once as
+(trees, m) arrays. The structure is checked when the forest is built
+(features in range, children after their parent inside the same tree, finite
+numbers), so the walk ends on every forest that can be built.
 """
 
 from __future__ import annotations
@@ -91,17 +91,15 @@ class ForestConfig:
         return max(1, int(round(float(self.max_features) * d)))
 
 
-@dataclass
-class Tree:
-    """Flat binary tree. ``feature[i] == LEAF`` marks a leaf node.
+class Tree(NamedTuple):
+    """One tree's node arrays, in the order of ``_TREE_ARRAYS``. ``feature[i]
+    == LEAF`` marks a leaf node.
 
     Routing convention: an instance with value <= threshold goes left,
     otherwise right. ``left``/``right`` are node indices within this tree.
     ``value`` holds the leaf prediction vector for leaves (zeros elsewhere).
-    Once the tree is part of a ``Forest``, ``feature``, ``threshold`` and
-    ``value`` are views into the forest's packed arrays, and
-    ``leaf_min``/``leaf_max`` (per-target extremes over all leaf predictions)
-    are its rows of the forest's stacked extremes.
+    ``fit`` and ``load`` hand trees to ``Forest``, which packs them; the
+    trees of a ``Forest`` are read-only views into its packed arrays.
     """
 
     feature: np.ndarray
@@ -110,21 +108,10 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
     sample_count: np.ndarray
-    leaf_min: np.ndarray | None = field(init=False, default=None)
-    leaf_max: np.ndarray | None = field(init=False, default=None)
 
     @property
     def n_nodes(self) -> int:
         return self.feature.shape[0]
-
-    def leaf_for(self, x: np.ndarray) -> int:
-        node = 0
-        while self.feature[node] != LEAF:
-            if x[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return node
 
 
 class LeafBoxes(NamedTuple):
@@ -138,11 +125,15 @@ class LeafBoxes(NamedTuple):
 
 @dataclass
 class Forest:
-    """Trees plus their nodes packed into one set of arrays.
+    """Trees plus their nodes packed into one read-only node table.
 
-    ``feature``, ``threshold`` and ``value`` hold every tree's nodes back to
-    back; tree ``t`` starts at node ``roots[t]``. Building the forest checks
-    and packs the trees once; they must not be changed afterwards.
+    The six node arrays of ``_TREE_ARRAYS`` hold every tree's nodes back to
+    back; tree ``t`` starts at node ``roots[t]``, and ``left``/``right`` keep
+    the in-tree child indices of a ``Tree``. Building the forest checks and
+    packs the given trees once and leaves them as they were; ``trees`` then
+    holds read-only ``Tree`` views into the packed arrays. All six arrays are
+    read-only, so the tables built from them (``leaf_boxes``, the child links
+    the walks follow) cannot fall out of step with them.
     """
 
     trees: list[Tree]
@@ -153,7 +144,10 @@ class Forest:
     roots: np.ndarray = field(init=False, repr=False)  # (T,) first node of each tree
     feature: np.ndarray = field(init=False, repr=False)  # (N,) split feature, LEAF at leaves
     threshold: np.ndarray = field(init=False, repr=False)  # (N,)
+    left: np.ndarray = field(init=False, repr=False)  # (N,) left child within its tree, at inner nodes
+    right: np.ndarray = field(init=False, repr=False)  # (N,) right child within its tree, at inner nodes
     value: np.ndarray = field(init=False, repr=False)  # (N, m) leaf predictions
+    sample_count: np.ndarray = field(init=False, repr=False)  # (N,) training rows that reached the node
     leaf_min: np.ndarray = field(init=False, repr=False)  # (T, m) lowest leaf value per tree
     leaf_max: np.ndarray = field(init=False, repr=False)  # (T, m) highest leaf value per tree
     depths: np.ndarray = field(init=False, repr=False)  # (T,) longest root-to-leaf path
@@ -167,15 +161,16 @@ class Forest:
         if (sizes < 1).any():
             raise ModelError(f"tree {int(np.argmax(sizes < 1))}: needs at least one node")
         self.roots = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        self.feature = np.concatenate([tree.feature for tree in self.trees])
-        self.threshold = np.concatenate([tree.threshold for tree in self.trees])
-        self.value = np.concatenate([tree.value for tree in self.trees])
+        packed = [np.concatenate(arrays) for arrays in zip(*self.trees)]  # Tree's fields, in order
+        for array in packed:
+            array.flags.writeable = False
+        self.feature, self.threshold, self.left, self.right, self.value, self.sample_count = packed
         tree_of = np.repeat(np.arange(self.n_trees), sizes)
         node = np.arange(self.feature.shape[0])
         leaf = self.feature == LEAF
         offset = self.roots[tree_of]
-        left = np.where(leaf, node, np.concatenate([tree.left for tree in self.trees]) + offset)
-        right = np.where(leaf, node, np.concatenate([tree.right for tree in self.trees]) + offset)
+        left = np.where(leaf, node, self.left + offset)
+        right = np.where(leaf, node, self.right + offset)
         end = offset + sizes[tree_of]
         faults = (
             (~leaf & ((self.feature < 0) | (self.feature >= self.d)), f"feature index outside [0, {self.d})"),
@@ -199,11 +194,9 @@ class Forest:
             frontier = np.zeros(node.shape, dtype=bool)
             frontier[left[inner]] = frontier[right[inner]] = True
             level += 1
-        for t, (tree, start, n) in enumerate(zip(self.trees, self.roots.tolist(), sizes.tolist())):
-            tree.feature = self.feature[start : start + n]
-            tree.threshold = self.threshold[start : start + n]
-            tree.value = self.value[start : start + n]
-            tree.leaf_min, tree.leaf_max = self.leaf_min[t], self.leaf_max[t]
+        # made last, so the views do not add to the peak of the temporaries above
+        bounds = zip(self.roots.tolist(), (self.roots + sizes).tolist())
+        self.trees = [Tree(*(array[start:stop] for array in packed)) for start, stop in bounds]
 
     @property
     def n_trees(self) -> int:
@@ -295,10 +288,6 @@ class Forest:
         return np.sort(np.concatenate(reached))
 
 
-def predict_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
-    return tree.value[tree.leaf_for(np.asarray(x, dtype=np.float64))]
-
-
 def predict(forest: Forest, x) -> np.ndarray:
     """Componentwise mean of the per-tree leaf predictions."""
     x = forest._check_vector(x)
@@ -316,6 +305,8 @@ def predict_batch(forest: Forest, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.d:
         raise ModelError(f"expected an (n, {forest.d}) matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ModelError("batch contains non-finite values")
     total = np.empty((X.shape[0], forest.m))
     step = max(1, WALK_CHUNK_ELEMENTS // forest.n_trees)
     for start in range(0, X.shape[0], step):
@@ -407,14 +398,7 @@ def _grow_tree(X, Y, config: ForestConfig, rng, target_scale) -> Tree:
         go_left = X[rows, f] <= thr
         stack.append((n_nodes - 1, rows[~go_left], depth + 1))
         stack.append((n_nodes - 2, rows[go_left], depth + 1))
-    return Tree(
-        feature=feature[:n_nodes].copy(),
-        threshold=threshold[:n_nodes].copy(),
-        left=left[:n_nodes].copy(),
-        right=right[:n_nodes].copy(),
-        value=value[:n_nodes].copy(),
-        sample_count=count[:n_nodes].copy(),
-    )
+    return Tree(*(array[:n_nodes].copy() for array in (feature, threshold, left, right, value, count)))
 
 
 def fit(train, config: ForestConfig) -> Forest:

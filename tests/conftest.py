@@ -50,6 +50,25 @@ def build_tree(spec):
     )
 
 
+def leaf_for(tree, x):
+    """Oracle: the in-tree index of the leaf x reaches, one node at a time."""
+    node = 0
+    while tree.feature[node] != LEAF:
+        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return node
+
+
+def predict_tree(tree, x):
+    """Oracle: one tree's leaf prediction for x."""
+    return tree.value[leaf_for(tree, np.asarray(x, dtype=np.float64))]
+
+
+def leaf_extremes(tree):
+    """Oracle: per-target lowest and highest value over one tree's own leaves."""
+    values = tree.value[tree.feature == LEAF]
+    return values.min(axis=0), values.max(axis=0)
+
+
 def build_forest(tree_specs, d, bounds=None):
     trees = [build_tree(s) for s in tree_specs]
     m = trees[0].value.shape[1]

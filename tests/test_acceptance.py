@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_forest
+from conftest import leaf_extremes, random_forest
 from test_paths import brute_force_model, named_paths
 from test_reduction import formula_oracle
 from ruleforest import (
@@ -119,8 +119,8 @@ def test_criterion_3_local_error_identity(rng):
         worst_identity = max(worst_identity, float(np.abs(gap - errors).max()))
         want_local, want_adjusted = formula_oracle(
             [p.leaf_prediction.tolist() for p in paths],
-            [t.leaf_min.tolist() for t in forest.trees],
-            [t.leaf_max.tolist() for t in forest.trees],
+            [leaf_extremes(t)[0].tolist() for t in forest.trees],
+            [leaf_extremes(t)[1].tolist() for t in forest.trees],
             kept,
         )
         worst_oracle = max(

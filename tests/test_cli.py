@@ -289,9 +289,12 @@ RANGE_CASES = {
     "evaluate_allowed_errors_empty": ["evaluate", "--allowed-errors", " "],
     "explain_min_support_zero": ["explain", "--min-support", "0"],
     "explain_allowed_error_negative": ["explain", "--allowed-error", "-1"],
+    "explain_instance_nan": ["explain", "--instance", "0.1,nan,0.3,0.4"],
+    "explain_instance_inf": ["explain", "--instance", "0.1,0.2,inf,0.4"],
     "bench_synthetic_zero": ["bench", "--synthetic", "0,4,2"],
     "bench_noise_negative": ["bench", "--noise", "-1"],
     "bench_allowed_errors_empty": ["bench", "--allowed-errors", ","],
+    "bench_allowed_errors_descending": ["bench", "--allowed-errors", "0.3,0.1"],
 }
 
 
@@ -310,6 +313,26 @@ def test_out_of_range_value_is_usage_error(workspace, capsys, tmp_path, case):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:") and flag in err
+
+
+def test_non_numeric_instance_is_usage_error_naming_the_value(workspace, capsys):
+    _, _, model = workspace
+    argv = ["explain", "--model", str(model), "--instance", "0.1,abc,0.3,0.4", "--allowed-error", "0.2"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "--instance" in err and "'abc'" in err and "parse" not in err
+
+
+def test_config_line_echoes_the_parsed_values(workspace, capsys):
+    _, _, model = workspace
+    argv = ["explain", "--model", str(model), "--instance", "0.10,0.2,.3,4", "--allowed-error", "0.20"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    pairs = out.splitlines()[0].split()
+    assert "instance=0.1,0.2,0.3,4.0" in pairs
+    assert "allowed_error=0.2" in pairs
 
 
 def test_missing_model_is_data_error(capsys, tmp_path):

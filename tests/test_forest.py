@@ -11,19 +11,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ruleforest.forest as forest_module
-from conftest import build_forest, build_tree, leaf, random_forest, split
+from conftest import build_forest, build_tree, leaf, predict_tree, random_forest, split
 from ruleforest import (
     Dataset,
     Forest,
     ForestConfig,
     ModelError,
     evaluate_mae,
+    extract_paths,
     fit,
     load,
     make_synthetic,
     predict,
     predict_batch,
-    predict_tree,
     save,
 )
 from ruleforest.cli import main
@@ -48,9 +48,9 @@ def test_forced_split():
 def test_constant_targets_single_leaf(rng):
     ds = Dataset(rng.standard_normal((30, 3)), np.full((30, 2), 7.0), ("a", "b", "c"), ("u", "v"))
     forest = fit(ds, ForestConfig(n_estimators=5, seed=1))
-    for tree in forest.trees:
+    for t, tree in enumerate(forest.trees):
         assert tree.n_nodes == 1
-        np.testing.assert_array_equal(tree.leaf_min, tree.leaf_max)
+        np.testing.assert_array_equal(forest.leaf_min[t], forest.leaf_max[t])
         np.testing.assert_array_equal(tree.value[0], [7.0, 7.0])
 
 
@@ -369,6 +369,47 @@ def test_forest_rejects_child_pointing_back_to_root():
         )
 
 
+def test_tree_fields_are_the_model_arrays_in_order():
+    # Forest packs trees field by field, and save and load name the fields by _TREE_ARRAYS
+    assert Tree._fields == tuple(forest_module._TREE_ARRAYS)
+
+
+def test_building_a_forest_leaves_the_callers_trees_alone():
+    trees = [build_tree(split(0, 0.5, leaf([1.0]), leaf([2.0]))), build_tree(leaf([3.0]))]
+    originals = [[getattr(tree, name) for name in TREE_ARRAYS] for tree in trees]
+    copies = [[array.copy() for array in arrays] for arrays in originals]
+    forest = Forest(
+        trees=trees,
+        config=ForestConfig(n_estimators=2),
+        feature_names=("f0",),
+        target_names=("t0",),
+        feature_bounds=np.array([[-1.0, 1.0]]),
+    )
+    for tree, arrays, saved in zip(trees, originals, copies):
+        for name, original, copy in zip(TREE_ARRAYS, arrays, saved):
+            assert getattr(tree, name) is original
+            assert original.flags.writeable
+            np.testing.assert_array_equal(original, copy)
+            assert not np.shares_memory(original, getattr(forest, name))
+
+
+def test_packed_node_table_is_read_only_and_trees_are_its_views():
+    forest = fit(make_synthetic(40, 3, 2, seed=1), ForestConfig(n_estimators=4, seed=0))
+    extract_paths(forest, np.full(3, 0.7))  # builds the leaf boxes from the table
+    with pytest.raises(ValueError):
+        forest.threshold[0] = 0.9
+    with pytest.raises(ValueError):
+        forest.trees[0].value[0] = 1.0
+    for name in TREE_ARRAYS:
+        packed = getattr(forest, name)
+        assert not packed.flags.writeable
+        for tree, start in zip(forest.trees, forest.roots.tolist()):
+            view = getattr(tree, name)
+            assert not view.flags.writeable and np.shares_memory(view, packed)
+            np.testing.assert_array_equal(view, packed[start : start + tree.n_nodes])
+        assert sum(getattr(tree, name).shape[0] for tree in forest.trees) == packed.shape[0]
+
+
 def test_mean_bounded_by_tree_extremes(rng):
     forest = random_forest(rng, n_trees=5, d=3, m=2, depth=4)
     for _ in range(50):
@@ -381,10 +422,10 @@ def test_mean_bounded_by_tree_extremes(rng):
 
 def test_leaf_extremes_bound_tree_predictions(rng):
     forest = random_forest(rng, n_trees=4, d=3, m=2, depth=4)
-    for tree in forest.trees:
+    for t, tree in enumerate(forest.trees):
         for _ in range(50):
             p = predict_tree(tree, rng.uniform(-10, 10, size=3))
-            assert (tree.leaf_min <= p).all() and (p <= tree.leaf_max).all()
+            assert (forest.leaf_min[t] <= p).all() and (p <= forest.leaf_max[t]).all()
 
 
 def test_zero_training_error_unrestricted_tree():
@@ -415,6 +456,19 @@ def test_predict_batch_row_does_not_depend_on_the_batch(m):
     batch = predict_batch(forest, ds.features)
     np.testing.assert_array_equal(batch[::3], predict_batch(forest, ds.features[::3]))
     np.testing.assert_array_equal(batch, np.vstack([predict(forest, x) for x in ds.features]))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[np.nan, 0.1, 0.2], [np.inf, 0.0, 0.0]], [[0.0, 0.0, 0.0], [0.0, -np.inf, 0.0]]],
+    ids=["every_row", "one_row_of_two"],
+)
+def test_predict_batch_rejects_non_finite_rows(rows):
+    forest = fit(make_synthetic(40, 3, 2, seed=1), ForestConfig(n_estimators=5, seed=0))
+    with pytest.raises(ModelError, match="non-finite"):
+        predict_batch(forest, rows)
+    with pytest.raises(ModelError, match="non-finite"):
+        predict(forest, rows[1])
 
 
 def test_min_samples_leaf_too_large():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_forest, leaf, random_forest, split
+from conftest import build_forest, leaf, leaf_for, predict_tree, random_forest, split
 from ruleforest import (
     AllowedError,
     ForestConfig,
@@ -18,7 +18,6 @@ from ruleforest import (
     mine,
     predict,
     predict_batch,
-    predict_tree,
     rank_features,
     save,
 )
@@ -141,11 +140,11 @@ def test_path_containment_and_leaf_change(rng):
             if np.isfinite(hi):
                 bumped = x.copy()
                 bumped[f] = hi + 1e-6
-                assert tree.leaf_for(bumped) != path.leaf_id
+                assert leaf_for(tree, bumped) != path.leaf_id
             if np.isfinite(lo):
                 bumped = x.copy()
                 bumped[f] = lo
-                assert tree.leaf_for(bumped) != path.leaf_id
+                assert leaf_for(tree, bumped) != path.leaf_id
         np.testing.assert_array_equal(predict_tree(tree, x), path.leaf_prediction)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_forest, leaf, random_forest, split
+from conftest import build_forest, leaf, leaf_extremes, leaf_for, random_forest, split
 from test_paths import instances_on_thresholds, reference_mine
 from ruleforest import (
     AllowedError,
@@ -81,8 +81,8 @@ def test_against_formula_oracle(rng):
     forest, _, paths = forest_and_paths(rng, n_trees=3, d=3, m=2)
     kept = {1}
     preds = [p.leaf_prediction.tolist() for p in paths]
-    mins = [t.leaf_min.tolist() for t in forest.trees]
-    maxs = [t.leaf_max.tolist() for t in forest.trees]
+    mins = [leaf_extremes(t)[0].tolist() for t in forest.trees]
+    maxs = [leaf_extremes(t)[1].tolist() for t in forest.trees]
     want_local, want_adjusted = formula_oracle(preds, mins, maxs, kept)
     np.testing.assert_allclose(local_error(paths, kept, forest), want_local, atol=1e-12)
     np.testing.assert_allclose(adjusted_prediction(paths, kept, forest), want_adjusted, atol=1e-12)
@@ -224,8 +224,7 @@ def loop_oracle(paths, assoc, allowed, forest, rank_order, substitution):
     trees at every enrichment step, then bound the forest with the kept trees'
     predictions plus the excluded trees' leaf extremes."""
     preds = np.vstack([p.leaf_prediction for p in paths])
-    mins = np.vstack([t.leaf_min for t in forest.trees])
-    maxs = np.vstack([t.leaf_max for t in forest.trees])
+    mins, maxs = (np.vstack(side) for side in zip(*map(leaf_extremes, forest.trees)))
     n = len(paths)
 
     def substituted(kept):
@@ -778,7 +777,7 @@ def test_kept_trees_stay_pinned(rng):
     for _ in range(200):
         x_new = rng.uniform(lo, hi)
         for i in reduction.kept:
-            assert forest.trees[i].leaf_for(x_new) == paths[i].leaf_id
+            assert leaf_for(forest.trees[i], x_new) == paths[i].leaf_id
 
 
 def test_excluded_feature_sweep_leaves_prediction_unchanged():
