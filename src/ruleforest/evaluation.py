@@ -157,6 +157,8 @@ def scalability_bench(
     budget; budgets are swept in ascending order."""
     if sorted(allowed_errors) != list(allowed_errors):
         raise ValueError("allowed_errors must be ascending")
+    if instances < 1:
+        raise ValueError("instances must be at least 1")
     model = fit(data, config)
     rng = np.random.default_rng(seed)
     rows_idx = rng.choice(data.n, size=min(instances, data.n), replace=False)

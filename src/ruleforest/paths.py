@@ -5,14 +5,15 @@ features) arrays of interval bounds and feature use, plus each tree's leaf.
 A path's bounds depend only on its leaf, so extraction is one walk to the
 leaves and two row gathers from the forest's leaf boxes. Mining, reduction
 and rule composition read the arrays; indexing a ``Paths`` builds a ``Path``
-view. The paths' feature sets act as transactions; pairwise
-itemset mining yields a confidence score per feature, which orders the
-enrichment loop in the reduction step.
+view. The paths' feature sets act as transactions: ``mine`` gives the
+pairwise supports, rule confidences and per-feature scores as arrays over
+the features the paths test, and the scores order the enrichment loop of
+the reduction step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,14 +63,15 @@ class Paths:
         return (self[t] for t in range(len(self)))
 
 
-@dataclass
+@dataclass(eq=False)
 class AssociationModel:
-    """Supports for singleton/pair itemsets, the derived one-to-one rules,
-    and the per-feature confidence scores consumed by the reducer."""
+    """Pairwise mining over ``features``, the features some path tests in
+    ascending order; the reducer reads only ``feature_scores``."""
 
-    itemset_supports: dict[frozenset[int], float] = field(default_factory=dict)
-    rules: list[tuple[int, int, float]] = field(default_factory=list)
-    feature_scores: dict[int, float] = field(default_factory=dict)
+    features: np.ndarray  # (k,)
+    support: np.ndarray  # (k, k) share of paths testing both; [j, j] is j's own
+    confidence: np.ndarray  # (k, k) rule j -> k; 0 below min_support and where j = k
+    feature_scores: np.ndarray  # (k,) score of features[j]
 
 
 def extract_paths(forest: Forest, x) -> Paths:
@@ -90,12 +92,12 @@ def extract_paths(forest: Forest, x) -> Paths:
 def mine(paths: Paths, min_support: float = 0.1) -> AssociationModel:
     """Mine pairwise association rules over the paths' feature sets.
 
-    Transactions are the per-path feature sets. Supports are computed for
-    every singleton and for every pair reaching ``min_support``; each
-    qualifying pair yields both ordered rules with confidence
+    Transactions are the per-path feature sets. Each pair reaching
+    ``min_support`` yields both ordered rules with confidence
     support(pair) / support(antecedent). A feature's score is the mean
     confidence over rules it fronts, summed in ascending partner order,
-    falling back to its own support when it fronts none.
+    falling back to its own support when it fronts none. When no path tests
+    a feature, every array is zero-size.
     """
     if len(paths) == 0:
         raise ValueError("need at least one path")
@@ -103,7 +105,7 @@ def mine(paths: Paths, min_support: float = 0.1) -> AssociationModel:
         raise ValueError("min_support must be in (0, 1]")
     features = np.flatnonzero(paths.used.any(axis=0))
     if not features.size:
-        return AssociationModel()
+        return AssociationModel(features, np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0))
     used = paths.used[:, features].astype(np.float64)
     support = (used.T @ used) / len(paths)  # [j, k]: share of paths using both
     own = np.diag(support)
@@ -112,20 +114,12 @@ def mine(paths: Paths, min_support: float = 0.1) -> AssociationModel:
     count = pair.sum(axis=1)
     # cumsum adds in ascending partner order (sum adds pairwise): last bits decide ranking ties
     scores = np.where(count > 0, np.cumsum(conf, axis=1)[:, -1] / np.maximum(count, 1), own)
-
-    names = features.tolist()
-    supports = {frozenset((f,)): s for f, s in zip(names, own.tolist())}
-    j, k = np.nonzero(np.triu(pair))
-    for a, b, s in zip(j.tolist(), k.tolist(), support[j, k].tolist()):
-        supports[frozenset((names[a], names[b]))] = s
-    j, k = np.nonzero(pair)
-    rules = [(names[a], names[b], c) for a, b, c in zip(j.tolist(), k.tolist(), conf[j, k].tolist())]
-    return AssociationModel(supports, rules, dict(zip(names, scores.tolist())))
+    return AssociationModel(features, support, conf, scores)
 
 
 def rank_features(model: AssociationModel, order: str = "ascending") -> list[int]:
-    """Features sorted by confidence score; ties break on ascending index."""
+    """``model.features`` sorted by score, ties on ascending index, as ints."""
     if order not in ("ascending", "descending"):
         raise ValueError(f"unknown rank order {order!r}")
     sign = 1.0 if order == "ascending" else -1.0
-    return sorted(model.feature_scores, key=lambda f: (sign * model.feature_scores[f], f))
+    return model.features[np.lexsort((model.features, sign * model.feature_scores))].tolist()

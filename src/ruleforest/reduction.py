@@ -40,7 +40,7 @@ class AllowedError:
         object.__setattr__(self, "values", values)
         if self.scheme not in ("global_mean", "per_target"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if (values < 0).any():
+        if not (values >= 0).all():  # also refuses NaN, which no error would meet
             raise ValueError("allowed error values must be non-negative")
         if self.scheme == "global_mean" and values.shape != (1,):
             raise ValueError("global scheme takes a single value")
@@ -414,6 +414,7 @@ def explain(
     precision: int = 2,
 ) -> Explanation:
     """Full pipeline for one instance: extract, mine, reduce, compose."""
+    # bound per call, so wrappers set on ruleforest.paths (the benchmark's spans) see each call
     from .paths import extract_paths, mine
 
     clock = [time.perf_counter()]

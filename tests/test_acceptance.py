@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import leaf_extremes, random_forest
-from test_paths import brute_force_model, named_paths
+from test_paths import brute_force_model, mined_dicts, named_paths
 from test_reduction import formula_oracle
 from ruleforest import (
     AllowedError,
@@ -146,18 +146,18 @@ def test_criterion_4_apriori_oracle(rng):
             for _ in range(n_paths)
         ]
         min_support = float(rng.uniform(0.05, 1.0))
-        model = mine(named_paths(transactions), min_support)
+        got_supports, got_rules, got_scores = mined_dicts(mine(named_paths(transactions), min_support))
         supports, rules, scores = brute_force_model(transactions, min_support)
         same = (
-            set(model.itemset_supports) == set(supports)
-            and all(abs(model.itemset_supports[k] - supports[k]) <= 1e-12 for k in supports)
-            and len(model.rules) == len(rules)
+            set(got_supports) == set(supports)
+            and all(abs(got_supports[k] - supports[k]) <= 1e-12 for k in supports)
+            and len(got_rules) == len(rules)
             and all(
                 a == ea and b == eb and abs(c - ec) <= 1e-12
-                for (a, b, c), (ea, eb, ec) in zip(model.rules, rules)
+                for (a, b, c), (ea, eb, ec) in zip(got_rules, rules)
             )
-            and set(model.feature_scores) == set(scores)
-            and all(abs(model.feature_scores[f] - scores[f]) <= 1e-12 for f in scores)
+            and set(got_scores) == set(scores)
+            and all(abs(got_scores[f] - scores[f]) <= 1e-12 for f in scores)
         )
         mismatches += not same
     report(4, f"mining matches exhaustive enumeration on 200 cases ({mismatches} mismatches)", mismatches == 0)

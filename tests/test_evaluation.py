@@ -256,6 +256,13 @@ def test_bench_requires_ascending_budgets():
         scalability_bench(ds, ForestConfig(n_estimators=2), [0.3, 0.1])
 
 
+@pytest.mark.parametrize("instances", [0, -1])
+def test_bench_requires_an_instance(instances):
+    ds = make_synthetic(30, 3, 1, seed=1)
+    with pytest.raises(ValueError, match="instances"):
+        scalability_bench(ds, ForestConfig(n_estimators=2), [0.1], instances=instances)
+
+
 def test_own_instance_always_covered(rng):
     ds = make_synthetic(40, 4, 2, seed=7)
     forest = fit(ds, ForestConfig(n_estimators=8, seed=7))

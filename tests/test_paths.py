@@ -68,10 +68,26 @@ def brute_force_model(feature_sets, min_support):
     return supports, sorted(rules, key=lambda r: (r[0], r[1])), scores
 
 
+def mined_dicts(model):
+    """A mined model's arrays in the oracles' form: the supports of every
+    singleton and qualifying pair by itemset, the rules (a, b, confidence) in
+    (a, b) order, and the scores by feature. A pair qualifies where its
+    confidence is positive."""
+    names = model.features.tolist()
+    supports = {frozenset((f,)): s for f, s in zip(names, np.diag(model.support).tolist())}
+    pair = model.confidence > 0
+    j, k = np.nonzero(np.triu(pair))
+    for a, b, s in zip(j.tolist(), k.tolist(), model.support[j, k].tolist()):
+        supports[frozenset((names[a], names[b]))] = s
+    j, k = np.nonzero(pair)
+    rules = [(names[a], names[b], c) for a, b, c in zip(j.tolist(), k.tolist(), model.confidence[j, k].tolist())]
+    return supports, rules, dict(zip(names, model.feature_scores.tolist()))
+
+
 def reference_mine(paths, min_support=0.1):
     """Oracle: the per-pair mining loop over each path's conditions dict;
     each feature's confidences are summed one at a time, in ascending
-    partner order."""
+    partner order. Returns what ``mined_dicts`` gives for ``mine``."""
     n = len(paths)
     features = sorted(set().union(*(p.conditions for p in paths)))
     used = np.asarray([[f in p.conditions for f in features] for p in paths], dtype=np.float64)
@@ -93,7 +109,7 @@ def reference_mine(paths, min_support=0.1):
         f: (sum(confs) / len(confs)) if confs else supports[frozenset((f,))]
         for f, confs in confidences.items()
     }
-    return AssociationModel(itemset_supports=supports, rules=rules, feature_scores=scores)
+    return supports, rules, scores
 
 
 # --- path extraction ---------------------------------------------------------
@@ -354,33 +370,36 @@ def test_predict_batch_sizes_match_per_tree_oracle(rng, rows):
 
 def test_mine_three_transactions():
     model = mine(named_paths([{0, 1}, {0, 1}, {0, 2}]), min_support=0.3)
-    s = model.itemset_supports
-    assert s[frozenset({0})] == pytest.approx(1.0)
-    assert s[frozenset({0, 1})] == pytest.approx(2 / 3)
-    conf = {(a, b): c for a, b, c in model.rules}
-    assert conf[(0, 1)] == pytest.approx(2 / 3)
-    assert conf[(1, 0)] == pytest.approx(1.0)
-    assert conf[(2, 0)] == pytest.approx(1.0)
+    assert model.features.tolist() == [0, 1, 2]
+    s = model.support
+    assert s[0, 0] == pytest.approx(1.0)
+    assert s[0, 1] == pytest.approx(2 / 3)
+    conf = model.confidence
+    assert conf[0, 1] == pytest.approx(2 / 3)
+    assert conf[1, 0] == pytest.approx(1.0)
+    assert conf[2, 0] == pytest.approx(1.0)
     assert model.feature_scores[0] == pytest.approx(0.5)  # mean of 2/3 and 1/3
     assert model.feature_scores[1] == pytest.approx(1.0)
 
 
 def test_mine_identical_transactions_symmetric():
     model = mine(named_paths([{0, 1, 2}] * 4), min_support=0.1)
-    assert all(c == pytest.approx(1.0) for _, _, c in model.rules)
-    assert len(set(round(v, 12) for v in model.feature_scores.values())) == 1
+    assert all(c == pytest.approx(1.0) for c in model.confidence[~np.eye(3, dtype=bool)])
+    assert len(set(round(v, 12) for v in model.feature_scores.tolist())) == 1
 
 
 def test_mine_single_feature_fallback():
     model = mine(named_paths([{3}]), min_support=0.1)
-    assert model.rules == []
-    assert model.feature_scores[3] == pytest.approx(1.0)
+    assert model.features.tolist() == [3]
+    assert not (model.confidence > 0).any()
+    assert model.feature_scores[0] == pytest.approx(1.0)
 
 
 def test_mine_empty_transactions():
     model = mine(named_paths([set(), set()]), min_support=0.1)
-    assert model.itemset_supports == {}
-    assert model.feature_scores == {}
+    assert model.features.shape == (0,)
+    assert model.support.shape == model.confidence.shape == (0, 0)
+    assert model.feature_scores.shape == (0,)
 
 
 def test_mine_requires_paths():
@@ -398,17 +417,17 @@ def test_mine_requires_paths():
     min_support=st.floats(min_value=0.05, max_value=1.0),
 )
 def test_mine_matches_brute_force(data, min_support):
-    model = mine(named_paths(data), min_support=min_support)
+    got_supports, got_rules, got_scores = mined_dicts(mine(named_paths(data), min_support=min_support))
     supports, rules, scores = brute_force_model(data, min_support)
-    assert set(model.itemset_supports) == set(supports)
+    assert set(got_supports) == set(supports)
     for key, value in supports.items():
-        assert model.itemset_supports[key] == pytest.approx(value, abs=1e-12)
-    assert [(a, b) for a, b, _ in model.rules] == [(a, b) for a, b, _ in rules]
-    for (_, _, got), (_, _, want) in zip(model.rules, rules):
+        assert got_supports[key] == pytest.approx(value, abs=1e-12)
+    assert [(a, b) for a, b, _ in got_rules] == [(a, b) for a, b, _ in rules]
+    for (_, _, got), (_, _, want) in zip(got_rules, rules):
         assert got == pytest.approx(want, abs=1e-12)
-    assert set(model.feature_scores) == set(scores)
+    assert set(got_scores) == set(scores)
     for f in scores:
-        assert model.feature_scores[f] == pytest.approx(scores[f], abs=1e-12)
+        assert got_scores[f] == pytest.approx(scores[f], abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -421,17 +440,19 @@ def test_mine_matches_brute_force(data, min_support):
 )
 def test_pair_support_antimonotone(data):
     model = mine(named_paths(data), min_support=0.01)
-    for itemset, support in model.itemset_supports.items():
-        if len(itemset) == 2:
-            for f in itemset:
-                assert support <= model.itemset_supports[frozenset({f})] + 1e-12
+    j, k = np.nonzero(model.confidence > 0)
+    own = np.diag(model.support)
+    assert (model.support[j, k] <= np.minimum(own[j], own[k]) + 1e-12).all()
 
 
 # --- ranking -----------------------------------------------------------------
 
 
 def scored(scores):
-    return AssociationModel(feature_scores=scores)
+    """A model for ranking only: features in the dict's order, their scores."""
+    k = len(scores)
+    features, values = np.array(list(scores)), np.array(list(scores.values()))
+    return AssociationModel(features, np.zeros((k, k)), np.zeros((k, k)), values)
 
 
 def test_rank_ascending():
@@ -444,6 +465,41 @@ def test_rank_descending():
 
 def test_rank_all_equal_is_index_order():
     assert rank_features(scored({2: 0.5, 0: 0.5, 1: 0.5})) == [0, 1, 2]
+
+
+def reference_rank(scores, order):
+    """Oracle: a Python sort of a scores dict by (signed score, feature)."""
+    sign = 1.0 if order == "ascending" else -1.0
+    return sorted(scores, key=lambda f: (sign * scores[f], f))
+
+
+def tied_transactions(rng):
+    """Paths over a few repeated transactions in which feature 6 always
+    accompanies feature 0, so exact score ties are common and 0 and 6 sum
+    the same confidences in different partner orders."""
+    base = [frozenset(rng.choice(6, size=rng.integers(1, 5), replace=False).tolist()) for _ in range(3)]
+    picks = [base[i] for i in rng.integers(0, 3, size=int(rng.integers(1, 16)))]
+    return named_paths([t | {6} if 0 in t else t for t in picks])
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "sqrt", "all_features"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), support_count=st.integers(min_value=1, max_value=4))
+def test_scores_and_ranking_equal_the_reference(kind, seed, support_count):
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        batches = [tied_transactions(rng)]
+    else:
+        forest = random_forest(rng, 12, 8, m=1, depth=4) if kind == "random" else fitted_forest(kind)
+        batches = [extract_paths(forest, x) for x in instances_on_thresholds(forest, rng, 3)]
+    for paths in batches:
+        min_support = min(support_count, len(paths)) / len(paths)
+        model = mine(paths, min_support)
+        _, _, scores = reference_mine(paths, min_support)
+        assert model.features.tolist() == list(scores)
+        assert model.feature_scores.tolist() == list(scores.values())
+        for order in ("ascending", "descending"):
+            assert rank_features(model, order) == reference_rank(scores, order)
 
 
 def test_rank_is_permutation(rng):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_forest, leaf, leaf_extremes, leaf_for, random_forest, split
-from test_paths import instances_on_thresholds, reference_mine
+from test_paths import instances_on_thresholds, mined_dicts, reference_mine
 from ruleforest import (
     AllowedError,
     Dataset,
@@ -134,10 +134,22 @@ def test_empty_kept_rejected(rng):
 def test_allowed_error_validation():
     with pytest.raises(ValueError):
         AllowedError.global_mean(-1.0)
+    for values in ([0.1, -0.2], [0.1, float("nan")]):
+        with pytest.raises(ValueError, match="non-negative"):
+            AllowedError.per_target(values)
+    with pytest.raises(ValueError, match="non-negative"):
+        AllowedError.global_mean(float("nan"))
     with pytest.raises(ValueError):
         AllowedError("global_mean", [0.1, 0.2])
     with pytest.raises(ValueError):
         AllowedError("weird", [0.1])
+
+
+def test_infinite_budget_is_accepted(rng):
+    forest, x, _ = forest_and_paths(rng, n_trees=5)
+    for allowed in (AllowedError.global_mean(np.inf), AllowedError.per_target([np.inf, np.inf])):
+        result = explain(forest, x, allowed)
+        assert result.reduction.kept
 
 
 def test_per_target_length_checked():
@@ -515,10 +527,12 @@ def test_array_stages_equal_reference_stages(seed, n_trees, d, depth, support_co
     X = np.vstack([instances_on_thresholds(forest, rng, 3), rng.uniform(-12, 12, size=(1, d))])
     for x in X:
         paths = extract_paths(forest, x)
-        assoc, want = mine(paths, min_support), reference_mine(paths, min_support)
-        assert assoc.itemset_supports == want.itemset_supports
-        assert assoc.rules == want.rules
-        assert assoc.feature_scores == want.feature_scores
+        assoc = mine(paths, min_support)
+        supports, rules, scores = mined_dicts(assoc)
+        want_supports, want_rules, want_scores = reference_mine(paths, min_support)
+        assert supports == want_supports
+        assert rules == want_rules
+        assert scores == want_scores
         for rank_order in ("ascending", "descending"):
             for budget in (0.0, float(rng.uniform(0.1, 2.0)), 1e18):
                 reduction = reduce_paths(paths, assoc, AllowedError.global_mean(budget), forest, rank_order)
