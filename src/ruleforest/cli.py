@@ -173,21 +173,30 @@ def _instance_from_args(args, forest: Forest, dataset) -> np.ndarray:
     if args.instance_index is None or args.data is None or args.targets is None:
         raise UsageError("provide --instance values or --instance-index with --data and --targets")
     data = dataset()
-    if tuple(data.feature_names) != tuple(forest.feature_names):
-        raise DatasetError("CSV feature columns do not match the model")
     if not 0 <= args.instance_index < data.n:
         raise UsageError(f"--instance-index out of range [0, {data.n})")
     return data.features[args.instance_index]
 
 
+def _model_dataset(args, forest: Forest) -> Dataset:
+    """The CSV of ``--data``, whose feature columns must be the model's."""
+    data = _load_dataset(args)
+    if data.feature_names != forest.feature_names:
+        raise DatasetError("CSV feature columns do not match the model")
+    return data
+
+
 def cmd_explain(args) -> int:
     forest = load(args.model)
-    dataset = functools.cache(lambda: _load_dataset(args))  # the CSV is parsed at most once
+    dataset = functools.cache(lambda: _model_dataset(args, forest))  # the CSV is parsed at most once
     x = _instance_from_args(args, forest, dataset)
     if args.allowed_error is not None:
         allowed = _resolve_allowed(args.allowed_error, args.scheme, forest.m)
     elif args.data is not None and args.targets is not None:
-        allowed = default_allowed_error(dataset(), forest.config, k=10)
+        data = dataset()
+        if data.target_names != forest.target_names:  # the budget holds one value per model target, in order
+            raise DatasetError(f"--targets {args.targets} do not match the model's {','.join(forest.target_names)}")
+        allowed = default_allowed_error(data, forest.config, k=10)
         if args.scheme == "global":
             allowed = AllowedError.global_mean(float(allowed.values.mean()))
     else:

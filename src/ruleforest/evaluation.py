@@ -73,7 +73,6 @@ def run_experiment(
     k: int = 10,
     seed: int = 0,
     min_support: float = 0.1,
-    rank_order: str = "ascending",
 ) -> list[ExperimentRow]:
     """Per-fold: fit, predict the test split once, explain every test
     instance at each budget and score the rule against the test split; rows
@@ -92,7 +91,7 @@ def run_experiment(
             paths = extract_paths(model, x)
             assoc = mine(paths, min_support)
             for i, allowed in enumerate(allowed_errors):
-                reduction = reduce_paths(paths, assoc, allowed, model, rank_order)
+                reduction = reduce_paths(paths, assoc, allowed, model)
                 rule = compose_rule(reduction, paths, x, model)
                 mask = covered_mask(rule, test)
                 sums[i] += (

@@ -6,10 +6,10 @@ features at once (one sort of the candidate columns and one set of
 cumulative target sums), and the tree grows depth first from an explicit
 stack, in the order that fixes which candidates each node draws. Building a
 ``Forest`` packs the six node arrays of every tree into one read-only node
-table with one root offset per tree, and its trees become read-only views
-into that table. For the walks, child links become global node indices and
-leaves link to themselves, so a fixed number of steps (the deepest tree's
-depth) routes every (tree, row) pair to its leaf. ``Forest.walk`` takes
+table with one root offset per tree, and keeps no per-tree object. For the
+walks, child links become global node indices and leaves link to
+themselves, so a fixed number of steps (the deepest tree's depth) routes
+every (tree, row) pair to its leaf. ``Forest.walk`` takes
 those steps for all trees at once, one depth level per step, over a (trees,
 rows) node array and returns the leaves; ``predict``, ``predict_batch`` and
 path extraction all use it. ``Forest.leaf_boxes`` holds every leaf's box,
@@ -20,9 +20,11 @@ built by one level walk the first time a path is extracted, so ``fit``,
 feature intervals the same way and collects every leaf some point of the box
 reaches. The per-target leaf extremes, which the reduction step needs to
 bound what an excluded tree could have predicted, are stacked once as
-(trees, m) arrays. The structure is checked when the forest is built
-(features in range, children after their parent inside the same tree, finite
-numbers), so the walk ends on every forest that can be built.
+(trees, m) arrays. Every table derived from the nodes is read-only, as the
+nodes are. The structure is checked when the forest is built (at least one
+target, no repeated feature or target name, features in range, children
+after their parent inside the same tree, finite numbers), so the walk ends
+on every forest that can be built.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -99,7 +101,7 @@ class Tree(NamedTuple):
     otherwise right. ``left``/``right`` are node indices within this tree.
     ``value`` holds the leaf prediction vector for leaves (zeros elsewhere).
     ``fit`` and ``load`` hand trees to ``Forest``, which packs them; the
-    trees of a ``Forest`` are read-only views into its packed arrays.
+    trees a ``Forest`` gives are read-only views into its packed arrays.
     """
 
     feature: np.ndarray
@@ -123,47 +125,44 @@ class LeafBoxes(NamedTuple):
     hi: np.ndarray  # (leaves, d) lowest threshold the path passes on its left
 
 
-@dataclass
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class Forest:
-    """Trees plus their nodes packed into one read-only node table.
+    """Trees packed into one read-only node table, and the tables derived from it.
 
     The six node arrays of ``_TREE_ARRAYS`` hold every tree's nodes back to
     back; tree ``t`` starts at node ``roots[t]``, and ``left``/``right`` keep
     the in-tree child indices of a ``Tree``. Building the forest checks and
-    packs the given trees once and leaves them as they were; ``trees`` then
-    holds read-only ``Tree`` views into the packed arrays. All six arrays are
-    read-only, so the tables built from them (``leaf_boxes``, the child links
-    the walks follow) cannot fall out of step with them.
+    packs the given trees once and leaves them as they were; it keeps no
+    per-tree object, and ``trees`` makes read-only ``Tree`` views into the
+    packed arrays when read. The node arrays and every table built from
+    them (``roots``, ``depths``, the leaf extremes, the child links the walks
+    follow, ``feature_bounds`` and ``leaf_boxes``) are read-only, so none of
+    them can fall out of step with the others.
     """
 
-    trees: list[Tree]
-    config: ForestConfig
-    feature_names: tuple[str, ...]
-    target_names: tuple[str, ...]
-    feature_bounds: np.ndarray  # shape (d, 2): training min/max per feature
-    roots: np.ndarray = field(init=False, repr=False)  # (T,) first node of each tree
-    feature: np.ndarray = field(init=False, repr=False)  # (N,) split feature, LEAF at leaves
-    threshold: np.ndarray = field(init=False, repr=False)  # (N,)
-    left: np.ndarray = field(init=False, repr=False)  # (N,) left child within its tree, at inner nodes
-    right: np.ndarray = field(init=False, repr=False)  # (N,) right child within its tree, at inner nodes
-    value: np.ndarray = field(init=False, repr=False)  # (N, m) leaf predictions
-    sample_count: np.ndarray = field(init=False, repr=False)  # (N,) training rows that reached the node
-    leaf_min: np.ndarray = field(init=False, repr=False)  # (T, m) lowest leaf value per tree
-    leaf_max: np.ndarray = field(init=False, repr=False)  # (T, m) highest leaf value per tree
-    depths: np.ndarray = field(init=False, repr=False)  # (T,) longest root-to-leaf path
-    # (2N,): node i's right child at 2i and left child at 2i + 1, as global ids
-    _children: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.trees:
+    def __init__(self, trees: list[Tree], config: ForestConfig, feature_names, target_names, feature_bounds):
+        self.config = config
+        self.feature_names = tuple(feature_names)
+        self.target_names = tuple(target_names)
+        if not self.target_names:
+            raise ModelError("model has no targets")
+        for kind, names in (("feature", self.feature_names), ("target", self.target_names)):
+            if len(set(names)) != len(names):
+                raise ModelError(f"repeated {kind} name {next(n for n in names if names.count(n) > 1)!r}")
+        self.feature_bounds = _read_only(np.array(feature_bounds, dtype=np.float64))  # (d, 2) training min/max
+        if not trees:
             raise ModelError("forest has no trees")
-        sizes = np.asarray([tree.n_nodes for tree in self.trees], dtype=np.int64)
+        sizes = np.asarray([tree.n_nodes for tree in trees], dtype=np.int64)
         if (sizes < 1).any():
             raise ModelError(f"tree {int(np.argmax(sizes < 1))}: needs at least one node")
-        self.roots = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        packed = [np.concatenate(arrays) for arrays in zip(*self.trees)]  # Tree's fields, in order
-        for array in packed:
-            array.flags.writeable = False
+        self.roots = _read_only(np.concatenate([[0], np.cumsum(sizes)[:-1]]))  # (T,) first node of each tree
+        # (N,) arrays in Tree's field order: split feature (LEAF at leaves), threshold, in-tree left and
+        # right child at inner nodes, (N, m) leaf predictions and the training rows that reached the node
+        packed = [_read_only(np.concatenate(arrays)) for arrays in zip(*trees)]
         self.feature, self.threshold, self.left, self.right, self.value, self.sample_count = packed
         tree_of = np.repeat(np.arange(self.n_trees), sizes)
         node = np.arange(self.feature.shape[0])
@@ -181,26 +180,33 @@ class Forest:
         for bad, fault in faults:
             if bad.any():
                 raise ModelError(f"tree {int(tree_of[np.argmax(bad)])}: {fault}")
-        self._children = np.column_stack([right, left]).ravel()
-        # children lie after their parent, so each tree's last node is a leaf
-        self.leaf_min = np.minimum.reduceat(np.where(leaf[:, None], self.value, np.inf), self.roots)
-        self.leaf_max = np.maximum.reduceat(np.where(leaf[:, None], self.value, -np.inf), self.roots)
-        self.depths = np.zeros(self.n_trees, dtype=np.int64)
+        # (2N,): node i's right child at 2i and left child at 2i + 1, as global ids
+        self._children = _read_only(np.column_stack([right, left]).ravel())
+        # (T, m) lowest and highest leaf value per tree; children lie after their parent,
+        # so each tree's last node is a leaf
+        self.leaf_min = _read_only(np.minimum.reduceat(np.where(leaf[:, None], self.value, np.inf), self.roots))
+        self.leaf_max = _read_only(np.maximum.reduceat(np.where(leaf[:, None], self.value, -np.inf), self.roots))
+        depths = np.zeros(self.n_trees, dtype=np.int64)
         frontier, level = np.zeros(node.shape, dtype=bool), 0
         frontier[self.roots] = True
         while frontier.any():  # ends because children lie after their parent
-            self.depths[tree_of[frontier]] = level
+            depths[tree_of[frontier]] = level
             inner = frontier & ~leaf
             frontier = np.zeros(node.shape, dtype=bool)
             frontier[left[inner]] = frontier[right[inner]] = True
             level += 1
-        # made last, so the views do not add to the peak of the temporaries above
-        bounds = zip(self.roots.tolist(), (self.roots + sizes).tolist())
-        self.trees = [Tree(*(array[start:stop] for array in packed)) for start, stop in bounds]
+        self.depths = _read_only(depths)  # (T,) longest root-to-leaf path
+
+    @property
+    def trees(self) -> list[Tree]:
+        """Read-only ``Tree`` views into the packed node table, made anew on each read."""
+        packed = [getattr(self, name) for name in Tree._fields]
+        bounds = zip(self.roots.tolist(), self.roots[1:].tolist() + [self.feature.shape[0]])
+        return [Tree(*(array[start:stop] for array in packed)) for start, stop in bounds]
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return self.roots.shape[0]
 
     @property
     def d(self) -> int:
@@ -259,7 +265,7 @@ class Forest:
             right_lo[split] = np.maximum(box_lo[split], self.threshold[node])
             node = np.concatenate([self._children[2 * node + 1], self._children[2 * node]])
             box_lo, box_hi = np.concatenate([box_lo, right_lo]), np.concatenate([left_hi, box_hi])
-        return LeafBoxes(row, lo, hi)
+        return LeafBoxes(*map(_read_only, (row, lo, hi)))
 
     def reach(self, lo: np.ndarray, hi: np.ndarray, lo_open: np.ndarray) -> np.ndarray:
         """Global ids, ascending, of every leaf that some point of a box reaches.

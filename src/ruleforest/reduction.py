@@ -146,7 +146,6 @@ class ConclusiveReport:
 class _StepGaps(NamedTuple):
     """Totals (steps, m) over each step's excluded trees."""
 
-    take_low: np.ndarray  # low extreme chosen: per tree (per_tree) or per step (per_target)
     low: np.ndarray  # summed prediction minus lowest leaf
     high: np.ndarray  # summed highest leaf minus prediction
     shift: np.ndarray  # summed substituted minus actual prediction
@@ -181,32 +180,16 @@ def _step_gaps(paths: Paths, forest: Forest, entry: np.ndarray, n_steps: int, su
         take_low = low_total >= high_total
         taken = np.where(take_low, low_total, 0.0), np.where(take_low, 0.0, high_total)
     low_taken, high_taken = taken
-    return _StepGaps(take_low, low_total, high_total, high_taken - low_taken, low_taken + high_taken)
+    return _StepGaps(low_total, high_total, high_taken - low_taken, low_taken + high_taken)
 
 
-def _kept_step(paths: Paths, kept, forest: Forest, substitution: str):
-    """The excluded mask and the gaps of the one step that keeps ``kept``."""
+def _kept_step(paths: Paths, kept, forest: Forest, substitution: str) -> _StepGaps:
+    """The gaps of the one step that keeps ``kept``."""
     kept = frozenset(kept)
     if not kept:
         raise ValueError("kept set must be non-empty")
-    excluded = np.asarray([i not in kept for i in range(len(paths))])
-    return excluded, _step_gaps(paths, forest, excluded.astype(np.int64), 1, substitution)
-
-
-def substituted_predictions(
-    paths: Paths, kept, forest: Forest, substitution: str = "per_target"
-) -> tuple[np.ndarray, np.ndarray]:
-    """(preds, r_preds) per tree and target.
-
-    Kept trees keep their own predictions. Each excluded tree is replaced by
-    a leaf extreme: under ``per_target`` the whole excluded set moves to the
-    side (low or high) whose total distance from the predictions is largest,
-    per target; under ``per_tree`` each tree independently takes whichever of
-    its extremes is farthest from its own prediction.
-    """
-    excluded, gaps = _kept_step(paths, kept, forest, substitution)
-    extremes = np.where(gaps.take_low, forest.leaf_min, forest.leaf_max)
-    return paths.leaf_prediction, np.where(excluded[:, None], extremes, paths.leaf_prediction)
+    excluded = np.asarray([i not in kept for i in range(len(paths))], dtype=np.int64)
+    return _step_gaps(paths, forest, excluded, 1, substitution)
 
 
 def local_error(
@@ -214,8 +197,7 @@ def local_error(
 ) -> np.ndarray:
     """Per-target mean absolute gap between actual and substituted tree
     predictions; zero when every tree is kept."""
-    _, gaps = _kept_step(paths, kept, forest, substitution)
-    return gaps.abs_shift[0] / len(paths)
+    return _kept_step(paths, kept, forest, substitution).abs_shift[0] / len(paths)
 
 
 def adjusted_prediction(
@@ -223,8 +205,8 @@ def adjusted_prediction(
 ) -> np.ndarray:
     """Forest mean recomputed with excluded trees at their substituted
     extremes."""
-    _, gaps = _kept_step(paths, kept, forest, substitution)
-    return paths.leaf_prediction.mean(axis=0) + gaps.shift[0] / len(paths)
+    shift = _kept_step(paths, kept, forest, substitution).shift[0]
+    return paths.leaf_prediction.mean(axis=0) + shift / len(paths)
 
 
 def reduce_paths(
@@ -410,7 +392,6 @@ def explain(
     allowed: AllowedError,
     min_support: float = 0.1,
     rank_order: str = "ascending",
-    substitution: str = "per_target",
     precision: int = 2,
 ) -> Explanation:
     """Full pipeline for one instance: extract, mine, reduce, compose."""
@@ -422,7 +403,7 @@ def explain(
     clock.append(time.perf_counter())
     assoc = mine(paths, min_support)
     clock.append(time.perf_counter())
-    reduction = reduce_paths(paths, assoc, allowed, forest, rank_order, substitution)
+    reduction = reduce_paths(paths, assoc, allowed, forest, rank_order)
     clock.append(time.perf_counter())
     rule = compose_rule(reduction, paths, x, forest)
     clock.append(time.perf_counter())

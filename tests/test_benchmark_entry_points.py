@@ -16,6 +16,7 @@ from ruleforest import (
     check_conclusive,
     explain,
     fit,
+    load,
     make_synthetic,
     mine,
     predict_batch,
@@ -43,6 +44,7 @@ def test_every_traced_name_resolves(workloads):
 
 
 def test_checks_and_observers_read_a_fitted_forest_and_its_explanation(workloads, tmp_path):
+    """Also on the forest ``load`` returns, which the CLI workload checks."""
     import checks
 
     data = make_synthetic(60, 4, 2, seed=5)
@@ -67,6 +69,11 @@ def test_checks_and_observers_read_a_fitted_forest_and_its_explanation(workloads
     path = tmp_path / "model.json"
     save(forest, path)
     assert workloads._save_info(None, forest, path) == {"bytes": os.path.getsize(path)}
+    loaded = load(path)
+    assert checks.same_forest(loaded, forest, 6, x) == checks.same_forest(forest, loaded, 6, x) == []
+    assert workloads._fit_info(loaded) == {"nodes": forest.feature.shape[0]}
+    assert checks.same_forest(loaded, fit(data, ForestConfig(n_estimators=6, min_samples_leaf=3, seed=3)), 6, x) != []
+    assert checks.same_forest(loaded, forest, 7, x) != []
 
 
 def test_explain_looks_up_mine_on_the_paths_module_at_call_time(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ruleforest.cli as cli_module
-from ruleforest import load_csv, make_synthetic, save_csv
+from ruleforest import Dataset, load_csv, make_synthetic, save_csv
 from ruleforest.cli import main
 from test_forest import CORRUPTIONS
 
@@ -366,6 +366,9 @@ def test_model_with_root_cycle_is_data_error(workspace, capsys, tmp_path):
         "normalize_targets_null",
         "bootstrap_list",
         "max_features_bool",
+        "no_targets",
+        "feature_name_repeated",
+        "target_name_repeated",
     ],
 )
 def test_model_with_value_save_never_writes_is_data_error(workspace, capsys, tmp_path, corruption):
@@ -403,6 +406,43 @@ def test_explain_instance_index_without_targets_is_usage_error(workspace, capsys
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and "--targets" in err
+
+
+@pytest.fixture(scope="module")
+def renamed_csv(workspace):
+    """The workspace CSV with its feature columns named g0..g3 instead of f0..f3."""
+    root, data, _ = workspace
+    original = load_csv(data, ["t0", "t1"])
+    path = root / "renamed.csv"
+    save_csv(Dataset(original.features, original.targets, [f"g{i}" for i in range(4)], original.target_names), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "renamed, flags",
+    [
+        # the default budget is one CV value per model target, in the model's order
+        (False, ["--targets", "t1,t0", "--instance-index", "5"]),
+        (False, ["--targets", "t1,t0", "--instance", "0.1,0.2,0.3,0.4"]),
+        # a CSV whose feature columns are not the model's gives neither an instance nor a budget
+        (True, ["--targets", "t0,t1", "--instance", "0.1,0.2,0.3,0.4"]),
+        (True, ["--targets", "t0,t1", "--instance-index", "5", "--allowed-error", "0.3"]),
+    ],
+)
+def test_explain_csv_that_does_not_match_the_model_is_data_error(workspace, renamed_csv, capsys, renamed, flags):
+    _, data, model = workspace
+    code, out, err = run(capsys, ["explain", "--model", str(model), "--data", str(renamed_csv if renamed else data), *flags])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "do not match the model" in err
+
+
+def test_explain_instance_index_with_a_budget_takes_any_target_order(workspace, capsys):
+    _, data, model = workspace
+    argv = ["explain", "--model", str(model), "--data", str(data), "--targets", "t1,t0", "--instance-index", "5",
+            "--allowed-error", "0.3"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and RULE_RE.match(out.splitlines()[1])
 
 
 def test_unknown_flag_is_usage_error(capsys, workspace):

@@ -214,6 +214,13 @@ CORRUPTIONS = {
     "bounds_true": lambda doc: _set(doc, "feature_bounds", 0, [True, 2.0]),
     "bounds_numeric_string": lambda doc: _set(doc, "feature_bounds", 0, ["-4", "4.5"]),
     "version_true": lambda doc: doc.update(version=True),
+    # no target at all, with value rows to match, and a name given twice
+    "no_targets": lambda doc: (
+        doc.update(target_names=[]),
+        [tree.update(value=[[] for _ in tree["value"]]) for tree in doc["trees"]],
+    ),
+    "feature_name_repeated": lambda doc: _set(doc, "feature_names", 1, doc["feature_names"][0]),
+    "target_name_repeated": lambda doc: _set(doc, "target_names", 1, doc["target_names"][0]),
 }
 
 
@@ -378,13 +385,15 @@ def test_building_a_forest_leaves_the_callers_trees_alone():
     trees = [build_tree(split(0, 0.5, leaf([1.0]), leaf([2.0]))), build_tree(leaf([3.0]))]
     originals = [[getattr(tree, name) for name in TREE_ARRAYS] for tree in trees]
     copies = [[array.copy() for array in arrays] for arrays in originals]
+    bounds = np.array([[-1.0, 1.0]])
     forest = Forest(
         trees=trees,
         config=ForestConfig(n_estimators=2),
         feature_names=("f0",),
         target_names=("t0",),
-        feature_bounds=np.array([[-1.0, 1.0]]),
+        feature_bounds=bounds,
     )
+    assert bounds.flags.writeable and not np.shares_memory(bounds, forest.feature_bounds)
     for tree, arrays, saved in zip(trees, originals, copies):
         for name, original, copy in zip(TREE_ARRAYS, arrays, saved):
             assert getattr(tree, name) is original
@@ -400,6 +409,12 @@ def test_packed_node_table_is_read_only_and_trees_are_its_views():
         forest.threshold[0] = 0.9
     with pytest.raises(ValueError):
         forest.trees[0].value[0] = 1.0
+    derived = {name: getattr(forest, name) for name in ("roots", "depths", "_children", "leaf_min", "leaf_max")}
+    derived |= {"feature_bounds": forest.feature_bounds, **forest.leaf_boxes._asdict()}
+    for name, table in derived.items():
+        assert not table.flags.writeable, name
+        with pytest.raises(ValueError):
+            table[...] = 0
     for name in TREE_ARRAYS:
         packed = getattr(forest, name)
         assert not packed.flags.writeable
@@ -408,6 +423,16 @@ def test_packed_node_table_is_read_only_and_trees_are_its_views():
             assert not view.flags.writeable and np.shares_memory(view, packed)
             np.testing.assert_array_equal(view, packed[start : start + tree.n_nodes])
         assert sum(getattr(tree, name).shape[0] for tree in forest.trees) == packed.shape[0]
+
+
+def test_forest_stores_no_per_tree_object(tmp_path):
+    forest = fit(make_synthetic(40, 3, 2, seed=1), ForestConfig(n_estimators=4, seed=0))
+    path = tmp_path / "m.model"
+    save(forest, path)
+    for built in (forest, load(path)):
+        assert "trees" not in vars(built)
+        assert built.n_trees == len(built.trees) == 4
+        assert "trees" not in vars(built)  # reading them stores nothing either
 
 
 def test_mean_bounded_by_tree_extremes(rng):

@@ -30,7 +30,7 @@ from ruleforest import (
 import ruleforest.reduction as reduction_module
 from ruleforest.forest import LEAF
 from ruleforest.paths import rank_features
-from ruleforest.reduction import SUBSTITUTIONS, Rule, RuleTerm, _step_gaps, explain, substituted_predictions
+from ruleforest.reduction import SUBSTITUTIONS, Rule, RuleTerm, _step_gaps, explain
 
 
 def formula_oracle(preds, mins, maxs, kept):
@@ -116,9 +116,8 @@ def test_per_tree_substitution_flag():
         d=1,
     )
     paths = extract_paths(forest, [3.0])
-    _, r = substituted_predictions(paths, {0}, forest, substitution="per_tree")
-    assert r[1, 0] == pytest.approx(1.0)
-    assert r[2, 0] == pytest.approx(9.0)
+    # (0 + 1 + 9) / 3: no other choice of extremes gives this mean
+    assert adjusted_prediction(paths, {0}, forest, substitution="per_tree") == pytest.approx([10 / 3])
     assert local_error(paths, {0}, forest, substitution="per_tree") == pytest.approx([10 / 3])
 
 
@@ -295,8 +294,8 @@ def test_single_pass_matches_loop_oracle(rng, substitution, rank_order):
 
 
 def reference_step_gaps(preds, leaf_min, leaf_max, entry, n_steps, substitution):
-    """Oracle: the step totals with every row added into its entry step's
-    bin by ``np.add.at``, one tree at a time."""
+    """Oracle: the four step totals with every row added into its entry
+    step's bin by ``np.add.at``, one tree at a time."""
     low, high = preds - leaf_min, leaf_max - preds
     take_low = low >= high
     rows = np.hstack([low, high, np.where(take_low, low, 0.0), np.where(take_low, 0.0, high)])
@@ -307,7 +306,7 @@ def reference_step_gaps(preds, leaf_min, leaf_max, entry, n_steps, substitution)
     if substitution == "per_target":
         take_low = low_total >= high_total
         low_taken, high_taken = np.where(take_low, low_total, 0.0), np.where(take_low, 0.0, high_total)
-    return take_low, low_total, high_total, high_taken - low_taken, low_taken + high_taken
+    return low_total, high_total, high_taken - low_taken, low_taken + high_taken
 
 
 def assert_same_bits(got, want):
