@@ -22,9 +22,10 @@ reaches. The per-target leaf extremes, which the reduction step needs to
 bound what an excluded tree could have predicted, are stacked once as
 (trees, m) arrays. Every table derived from the nodes is read-only, as the
 nodes are. The structure is checked when the forest is built (at least one
-target, no repeated feature or target name, features in range, children
-after their parent inside the same tree, finite numbers), so the walk ends
-on every forest that can be built.
+target, no repeated feature or target name, node arrays and feature bounds of
+the right shapes, features in range, children after their parent inside the
+same tree, finite numbers), so the walk ends on every forest that can be
+built.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -80,7 +82,7 @@ class ForestConfig:
         if isinstance(self.max_features, str):
             if self.max_features not in ("all", "sqrt"):
                 raise ModelError(f"unknown max_features {self.max_features!r}")
-        elif isinstance(self.max_features, (bool, np.bool_)):
+        elif isinstance(self.max_features, bool) or not isinstance(self.max_features, numbers.Real):
             raise ModelError(f"max_features must be 'all', 'sqrt' or a fraction, got {self.max_features!r}")
         elif not 0.0 < float(self.max_features) <= 1.0:
             raise ModelError("max_features fraction must be in (0, 1]")
@@ -154,8 +156,16 @@ class Forest:
             if len(set(names)) != len(names):
                 raise ModelError(f"repeated {kind} name {next(n for n in names if names.count(n) > 1)!r}")
         self.feature_bounds = _read_only(np.array(feature_bounds, dtype=np.float64))  # (d, 2) training min/max
+        if self.feature_bounds.shape != (self.d, 2) or not np.isfinite(self.feature_bounds).all():
+            raise ModelError(f"feature_bounds must be a finite ({self.d}, 2) array")
         if not trees:
             raise ModelError("forest has no trees")
+        for t, tree in enumerate(trees):
+            n = np.shape(tree.feature)[:1] or (0,)  # a 0-d feature array fails its own test
+            expected = (n, n, n, n, n + (self.m,), n)  # in Tree's field order
+            for name, array, shape in zip(Tree._fields, tree, expected):
+                if np.shape(array) != shape:
+                    raise ModelError(f"tree {t}: {name} has shape {np.shape(array)}, expected {shape}")
         sizes = np.asarray([tree.n_nodes for tree in trees], dtype=np.int64)
         if (sizes < 1).any():
             raise ModelError(f"tree {int(np.argmax(sizes < 1))}: needs at least one node")

@@ -2,10 +2,12 @@
 
 The enrichment loop grows a feature set in confidence order; a path is kept
 once all of its features are inside the set. Excluded trees are accounted for
-by substituting the leaf extreme farthest from the prediction, which yields
-both the local error the budget is tested against and the adjusted
-prediction. Every step's kept count and local errors come from one pass, and
-the result keeps them as its ``trace``.
+by moving them, per target, together to the side of their leaf extremes (all
+lowest or all highest leaves) with the larger total gap from their
+predictions. That yields the local error the budget is tested against and the
+adjusted prediction, and the local error equals
+``|adjusted − prediction|``. Every step's kept count and local errors come
+from one pass, and the result keeps them as its ``trace``.
 
 ``check_conclusive`` certifies a rule exactly, with no sampling: it walks the
 rule's region, a box, down the packed forest once and bounds every tree by
@@ -25,8 +27,6 @@ from .dataset import Dataset, kfold
 from .forest import Forest, ForestConfig, fit, predict, predict_batch
 from .paths import AssociationModel, Paths, rank_features
 
-SUBSTITUTIONS = ("per_target", "per_tree")
-
 
 @dataclass(frozen=True)
 class AllowedError:
@@ -40,6 +40,8 @@ class AllowedError:
         object.__setattr__(self, "values", values)
         if self.scheme not in ("global_mean", "per_target"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.scheme == "per_target" and (values.ndim != 1 or values.size == 0):
+            raise ValueError("per-target budget must be a non-empty vector")
         if not (values >= 0).all():  # also refuses NaN, which no error would meet
             raise ValueError("allowed error values must be non-negative")
         if self.scheme == "global_mean" and values.shape != (1,):
@@ -152,60 +154,47 @@ class _StepGaps(NamedTuple):
     abs_shift: np.ndarray  # summed |substituted minus actual prediction|
 
 
-def _step_gaps(paths: Paths, forest: Forest, entry: np.ndarray, n_steps: int, substitution: str):
+def _step_gaps(paths: Paths, forest: Forest, entry: np.ndarray, n_steps: int) -> _StepGaps:
     """Total the gaps between the leaf predictions and the forest's stacked
     leaf extremes of the trees each step excludes (tree i at step k when
-    ``entry[i] > k``).
+    ``entry[i] > k``), and move each step's excluded trees, per target, to
+    the side with the larger total.
 
     Rows are summed by entry step (one ``bincount``, which adds each step's
     rows in tree order), then suffix-summed from the last step back, so a
-    step that excludes nothing totals exactly 0. ``per_target`` picks each
-    step's side from the totals, ``per_tree`` each tree's side from its row.
+    step that excludes nothing totals exactly 0.
     """
-    if substitution not in SUBSTITUTIONS:
-        raise ValueError(f"unknown substitution {substitution!r}")
     preds = paths.leaf_prediction
-    low, high = preds - forest.leaf_min, forest.leaf_max - preds
-    blocks = [low, high]
-    if substitution == "per_tree":
-        take_low = low >= high
-        blocks += [np.where(take_low, low, 0.0), np.where(take_low, 0.0, high)]
-    rows = np.hstack(blocks)
+    rows = np.hstack([preds - forest.leaf_min, forest.leaf_max - preds])
     cols = rows.shape[1]
     bins = (entry[:, None] * cols + np.arange(cols)).ravel()
     by_entry = np.bincount(bins, rows.ravel(), (n_steps + 1) * cols).reshape(n_steps + 1, cols)
     totals = np.cumsum(by_entry[::-1], axis=0)[::-1][1:]
-    low_total, high_total, *taken = totals.reshape(n_steps, len(blocks), -1).swapaxes(0, 1)
-    if substitution == "per_target":
-        take_low = low_total >= high_total
-        taken = np.where(take_low, low_total, 0.0), np.where(take_low, 0.0, high_total)
-    low_taken, high_taken = taken
-    return _StepGaps(low_total, high_total, high_taken - low_taken, low_taken + high_taken)
+    low, high = np.hsplit(totals, 2)
+    take_low = low >= high
+    low_taken, high_taken = np.where(take_low, low, 0.0), np.where(take_low, 0.0, high)
+    return _StepGaps(low, high, high_taken - low_taken, low_taken + high_taken)
 
 
-def _kept_step(paths: Paths, kept, forest: Forest, substitution: str) -> _StepGaps:
+def _kept_step(paths: Paths, kept, forest: Forest) -> _StepGaps:
     """The gaps of the one step that keeps ``kept``."""
     kept = frozenset(kept)
     if not kept:
         raise ValueError("kept set must be non-empty")
     excluded = np.asarray([i not in kept for i in range(len(paths))], dtype=np.int64)
-    return _step_gaps(paths, forest, excluded, 1, substitution)
+    return _step_gaps(paths, forest, excluded, 1)
 
 
-def local_error(
-    paths: Paths, kept, forest: Forest, substitution: str = "per_target"
-) -> np.ndarray:
+def local_error(paths: Paths, kept, forest: Forest) -> np.ndarray:
     """Per-target mean absolute gap between actual and substituted tree
     predictions; zero when every tree is kept."""
-    return _kept_step(paths, kept, forest, substitution).abs_shift[0] / len(paths)
+    return _kept_step(paths, kept, forest).abs_shift[0] / len(paths)
 
 
-def adjusted_prediction(
-    paths: Paths, kept, forest: Forest, substitution: str = "per_target"
-) -> np.ndarray:
+def adjusted_prediction(paths: Paths, kept, forest: Forest) -> np.ndarray:
     """Forest mean recomputed with excluded trees at their substituted
     extremes."""
-    shift = _kept_step(paths, kept, forest, substitution).shift[0]
+    shift = _kept_step(paths, kept, forest).shift[0]
     return paths.leaf_prediction.mean(axis=0) + shift / len(paths)
 
 
@@ -215,7 +204,6 @@ def reduce_paths(
     allowed: AllowedError,
     forest: Forest,
     rank_order: str = "ascending",
-    substitution: str = "per_target",
 ) -> ReductionResult:
     """Enrich the feature set one feature at a time until the kept paths meet
     the budget.
@@ -233,7 +221,7 @@ def reduce_paths(
     step_of = np.full(paths.used.shape[1], n_steps)
     step_of[ranking] = np.arange(1, n_steps)
     entry = np.where(paths.used, step_of, 0).max(axis=1, initial=0)
-    gaps = _step_gaps(paths, forest, entry, n_steps, substitution)
+    gaps = _step_gaps(paths, forest, entry, n_steps)
     errors = gaps.abs_shift / n
     passes = allowed.passes(errors)
     passes[: entry.min()] = False  # no path is kept yet

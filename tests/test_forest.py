@@ -254,6 +254,8 @@ def test_config_rejects_non_integers(field, value):
         ("normalize_targets", [1], "normalize_targets must be a bool"),
         ("max_features", True, "max_features must be"),
         ("max_features", np.False_, "max_features must be"),
+        ("max_features", None, "max_features must be"),
+        ("max_features", [0.5], "max_features must be"),
     ],
 )
 def test_config_rejects_non_bool_flags(field, value, message):
@@ -373,6 +375,39 @@ def test_forest_rejects_child_pointing_back_to_root():
             feature_names=("f0",),
             target_names=("t0",),
             feature_bounds=np.array([[-1.0, 1.0]]),
+        )
+
+
+@pytest.mark.parametrize(
+    "tree, target_names, bounds, message",
+    [
+        (build_tree(leaf([1.0])), ("t0", "t1"), [[-1.0, 1.0]], r"tree 1: value has shape \(1, 1\), expected \(1, 2\)"),
+        (build_tree(leaf([1.0])), ("t0",), [-1.0, 1.0, 0.0], r"feature_bounds must be a finite \(1, 2\) array"),
+        (build_tree(leaf([1.0])), ("t0",), [[-1.0, np.inf]], r"feature_bounds must be a finite \(1, 2\) array"),
+        (
+            build_tree(split(0, 0.5, leaf([1.0]), leaf([2.0])))._replace(threshold=np.array([0.5])),
+            ("t0",),
+            [[-1.0, 1.0]],
+            r"tree 1: threshold has shape \(1,\), expected \(3,\)",
+        ),
+        (
+            build_tree(leaf([1.0]))._replace(feature=np.array(-1)),
+            ("t0",),
+            [[-1.0, 1.0]],
+            r"tree 1: feature has shape \(\), expected \(0,\)",
+        ),
+    ],
+    ids=["value_narrower_than_targets", "bounds_not_2d", "bounds_not_finite", "threshold_short", "feature_0d"],
+)
+def test_forest_checks_array_shapes_as_load_does(tree, target_names, bounds, message):
+    m = len(target_names)
+    with pytest.raises(ModelError, match=message):
+        Forest(
+            trees=[build_tree(leaf(np.zeros(m))), tree],
+            config=ForestConfig(n_estimators=2),
+            feature_names=("f0",),
+            target_names=target_names,
+            feature_bounds=np.asarray(bounds),
         )
 
 

@@ -30,7 +30,7 @@ from ruleforest import (
 import ruleforest.reduction as reduction_module
 from ruleforest.forest import LEAF
 from ruleforest.paths import rank_features
-from ruleforest.reduction import SUBSTITUTIONS, Rule, RuleTerm, _step_gaps, explain
+from ruleforest.reduction import Rule, RuleTerm, _step_gaps, explain
 
 
 def formula_oracle(preds, mins, maxs, kept):
@@ -104,23 +104,6 @@ def test_error_identity_random_forests(rng):
         np.testing.assert_allclose(gap, local_error(paths, kept, forest), atol=1e-12)
 
 
-def test_per_tree_substitution_flag():
-    # tree1 pred 4 extremes [1, 5]: per-tree farthest is 1 (gap 3 vs 1);
-    # tree2 pred 2 extremes [1, 9]: per-tree farthest is 9 (gap 7 vs 1)
-    forest = build_forest(
-        [
-            leaf([0.0]),
-            split(0, 0.0, leaf([1.0]), split(0, 5.0, leaf([4.0]), leaf([5.0]))),
-            split(0, 0.0, leaf([1.0]), split(0, 5.0, leaf([2.0]), leaf([9.0]))),
-        ],
-        d=1,
-    )
-    paths = extract_paths(forest, [3.0])
-    # (0 + 1 + 9) / 3: no other choice of extremes gives this mean
-    assert adjusted_prediction(paths, {0}, forest, substitution="per_tree") == pytest.approx([10 / 3])
-    assert local_error(paths, {0}, forest, substitution="per_tree") == pytest.approx([10 / 3])
-
-
 def test_empty_kept_rejected(rng):
     forest, _, paths = forest_and_paths(rng)
     with pytest.raises(ValueError):
@@ -142,6 +125,11 @@ def test_allowed_error_validation():
         AllowedError("global_mean", [0.1, 0.2])
     with pytest.raises(ValueError):
         AllowedError("weird", [0.1])
+    for values in ([], [[0.1]], np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            AllowedError("per_target", values)
+    with pytest.raises(ValueError, match="non-empty vector"):
+        AllowedError.per_target([])
 
 
 def test_infinite_budget_is_accepted(rng):
@@ -230,7 +218,7 @@ def test_reduction_result_invariants(rng):
         assert paths[i].feature_set <= reduction.feature_set
 
 
-def loop_oracle(paths, assoc, allowed, forest, rank_order, substitution):
+def loop_oracle(paths, assoc, allowed, forest, rank_order):
     """Reference reduction: re-test the kept set and substitute the excluded
     trees at every enrichment step, then bound the forest with the kept trees'
     predictions plus the excluded trees' leaf extremes."""
@@ -243,14 +231,9 @@ def loop_oracle(paths, assoc, allowed, forest, rank_order, substitution):
         excluded = np.asarray([i for i in range(n) if i not in kept], dtype=np.int64)
         if excluded.size == 0:
             return r_preds
-        if substitution == "per_tree":
-            low_gap = preds[excluded] - mins[excluded]
-            high_gap = maxs[excluded] - preds[excluded]
-            r_preds[excluded] = np.where(low_gap >= high_gap, mins[excluded], maxs[excluded])
-        else:
-            low_total = (preds[excluded] - mins[excluded]).sum(axis=0)
-            high_total = (maxs[excluded] - preds[excluded]).sum(axis=0)
-            r_preds[excluded] = np.where(low_total >= high_total, mins[excluded], maxs[excluded])
+        low_total = (preds[excluded] - mins[excluded]).sum(axis=0)
+        high_total = (maxs[excluded] - preds[excluded]).sum(axis=0)
+        r_preds[excluded] = np.where(low_total >= high_total, mins[excluded], maxs[excluded])
         return r_preds
 
     feature_set = set()
@@ -270,9 +253,8 @@ def loop_oracle(paths, assoc, allowed, forest, rank_order, substitution):
     return kept, frozenset(feature_set), errors, substituted(kept).mean(axis=0), envelope
 
 
-@pytest.mark.parametrize("substitution", ["per_target", "per_tree"])
 @pytest.mark.parametrize("rank_order", ["ascending", "descending"])
-def test_single_pass_matches_loop_oracle(rng, substitution, rank_order):
+def test_single_pass_matches_loop_oracle(rng, rank_order):
     for _ in range(15):
         m = int(rng.integers(1, 4))
         forest, _, paths = forest_and_paths(rng, n_trees=int(rng.integers(2, 12)), d=4, m=m, depth=4)
@@ -280,10 +262,8 @@ def test_single_pass_matches_loop_oracle(rng, substitution, rank_order):
         budgets = [AllowedError.global_mean(v) for v in (0.0, float(rng.uniform(0, 2)), 1e18)]
         budgets += [AllowedError.per_target(v) for v in (np.zeros(m), rng.uniform(0, 2, m), np.full(m, 1e18))]
         for allowed in budgets:
-            got = reduce_paths(paths, assoc, allowed, forest, rank_order, substitution)
-            kept, feature_set, errors, adjusted, envelope = loop_oracle(
-                paths, assoc, allowed, forest, rank_order, substitution
-            )
+            got = reduce_paths(paths, assoc, allowed, forest, rank_order)
+            kept, feature_set, errors, adjusted, envelope = loop_oracle(paths, assoc, allowed, forest, rank_order)
             assert got.kept == kept
             assert got.feature_set == feature_set
             np.testing.assert_allclose(got.local_errors, errors, rtol=0, atol=1e-12)
@@ -293,19 +273,16 @@ def test_single_pass_matches_loop_oracle(rng, substitution, rank_order):
                 np.testing.assert_array_equal(got.local_errors, 0.0)
 
 
-def reference_step_gaps(preds, leaf_min, leaf_max, entry, n_steps, substitution):
+def reference_step_gaps(preds, leaf_min, leaf_max, entry, n_steps):
     """Oracle: the four step totals with every row added into its entry
     step's bin by ``np.add.at``, one tree at a time."""
-    low, high = preds - leaf_min, leaf_max - preds
-    take_low = low >= high
-    rows = np.hstack([low, high, np.where(take_low, low, 0.0), np.where(take_low, 0.0, high)])
+    rows = np.hstack([preds - leaf_min, leaf_max - preds])
     by_entry = np.zeros((n_steps + 1, rows.shape[1]))
     np.add.at(by_entry, entry, rows)
     totals = np.cumsum(by_entry[::-1], axis=0)[::-1][1:]
-    low_total, high_total, low_taken, high_taken = np.hsplit(totals, 4)
-    if substitution == "per_target":
-        take_low = low_total >= high_total
-        low_taken, high_taken = np.where(take_low, low_total, 0.0), np.where(take_low, 0.0, high_total)
+    low_total, high_total = np.hsplit(totals, 2)
+    take_low = low_total >= high_total
+    low_taken, high_taken = np.where(take_low, low_total, 0.0), np.where(take_low, 0.0, high_total)
     return low_total, high_total, high_taken - low_taken, low_taken + high_taken
 
 
@@ -319,12 +296,11 @@ def assert_same_bits(got, want):
 def assert_step_gaps_exact(preds, leaf_min, leaf_max, entry, n_steps):
     paths = SimpleNamespace(leaf_prediction=preds)
     forest = SimpleNamespace(leaf_min=leaf_min, leaf_max=leaf_max)
-    for substitution in SUBSTITUTIONS:
-        got = _step_gaps(paths, forest, entry, n_steps, substitution)
-        assert_same_bits(got, reference_step_gaps(preds, leaf_min, leaf_max, entry, n_steps, substitution))
-        # from the step every tree has entered on, nothing is excluded
-        assert not got.abs_shift[entry.max() :].any()
-        assert not np.signbit(got.abs_shift[entry.max() :]).any()
+    got = _step_gaps(paths, forest, entry, n_steps)
+    assert_same_bits(got, reference_step_gaps(preds, leaf_min, leaf_max, entry, n_steps))
+    # from the step every tree has entered on, nothing is excluded
+    assert not got.abs_shift[entry.max() :].any()
+    assert not np.signbit(got.abs_shift[entry.max() :]).any()
 
 
 GAP_VALUES = [0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 2.5, 1e-300, -1e-300, 3e16, -7.25]
@@ -373,8 +349,7 @@ def test_budget_test_over_steps_equals_accepts_row_by_row(rng, m):
             assert [allowed.accepts(step) for step in errors] == want
 
 
-@pytest.mark.parametrize("substitution", SUBSTITUTIONS)
-def test_trace_records_every_step(rng, substitution):
+def test_trace_records_every_step(rng):
     for _ in range(15):
         m = int(rng.integers(1, 4))
         forest, _, paths = forest_and_paths(rng, n_trees=int(rng.integers(2, 12)), d=4, m=m, depth=4)
@@ -382,7 +357,7 @@ def test_trace_records_every_step(rng, substitution):
         budgets = [AllowedError.global_mean(v) for v in (0.0, float(rng.uniform(0, 2)), 1e18)]
         budgets.append(AllowedError.per_target(rng.uniform(0, 2, m)))
         for allowed in budgets:
-            got = reduce_paths(paths, assoc, allowed, forest, substitution=substitution)
+            got = reduce_paths(paths, assoc, allowed, forest)
             trace = got.trace
             steps = len(trace.ranking) + 1
             assert trace.ranking == rank_features(assoc)
@@ -396,7 +371,7 @@ def test_trace_records_every_step(rng, substitution):
                 kept = {i for i, p in enumerate(paths) if p.feature_set <= enriched}
                 assert trace.kept_counts[k] == len(kept)
                 if kept:
-                    want = local_error(paths, kept, forest, substitution)
+                    want = local_error(paths, kept, forest)
                     np.testing.assert_allclose(trace.local_errors[k], want, rtol=0, atol=1e-12)
                 if k < trace.accepted_step:  # an earlier step kept nothing or missed the budget
                     assert not kept or not allowed.accepts(trace.local_errors[k])
@@ -713,6 +688,71 @@ def fitted(seed):
 def test_certificate_equals_leaf_boxes_on_fitted_forests(seed, row, budget):
     data, forest = fitted(seed)
     assert_certificate_exact(forest, data.features[row], AllowedError.global_mean(budget), row)
+
+
+def trace_budgets(forest, x):
+    """Budgets of both schemes that reach every step a budget can accept:
+    each step's own per-target local errors and their mean, plus an
+    unbounded one. A step accepted by some budget is the first to pass its
+    own errors."""
+    paths = extract_paths(forest, x)
+    assoc = mine(paths)
+    trace = reduce_paths(paths, assoc, AllowedError.global_mean(0.0), forest).trace
+    steps = trace.local_errors[trace.kept_counts > 0]
+    budgets = [AllowedError.global_mean(float(e.mean())) for e in steps]
+    budgets += [AllowedError.per_target(e) for e in steps]
+    budgets += [AllowedError.global_mean(np.inf), AllowedError.per_target(np.full(forest.m, np.inf))]
+    return paths, assoc, steps, budgets
+
+
+def assert_tighter_budget_keeps_superset(forest, x, rng):
+    # criterion 8 over both schemes: a budget no looser on any target accepts
+    # a step no earlier, so its kept paths and features contain the looser one's
+    paths, assoc, steps, _ = trace_budgets(forest, x)
+    loose = np.vstack([steps, rng.uniform(0, 2, size=(3, forest.m))])
+    tight = loose * rng.choice([0.0, 0.5, 1.0, rng.uniform()], size=loose.shape)
+    pairs = [(AllowedError.per_target(a), AllowedError.per_target(b)) for a, b in zip(tight, loose)]
+    means = np.sort(rng.uniform(0, 2, size=(4, 2)), axis=1).tolist() + [[a.mean(), b.mean()] for a, b in zip(tight, loose)]
+    pairs += [(AllowedError.global_mean(min(a, b)), AllowedError.global_mean(max(a, b))) for a, b in means]
+    for tighter, looser in pairs:
+        red_tight = reduce_paths(paths, assoc, tighter, forest)
+        red_loose = reduce_paths(paths, assoc, looser, forest)
+        assert red_tight.kept >= red_loose.kept
+        assert red_tight.feature_set >= red_loose.feature_set
+
+
+def assert_certificate_inside_envelope(forest, x):
+    paths, assoc, _, budgets = trace_budgets(forest, x)
+    for allowed in budgets:
+        reduction = reduce_paths(paths, assoc, allowed, forest)
+        report = check_conclusive(compose_rule(reduction, paths, x, forest), reduction, forest, x)
+        env_lo, env_hi = reduction.envelope
+        assert report.envelope_violations == 0
+        assert (report.lower >= env_lo - 1e-9).all() and (report.upper <= env_hi + 1e-9).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_trees=st.integers(min_value=1, max_value=25),
+    d=st.integers(min_value=1, max_value=5),
+    m=st.integers(min_value=1, max_value=3),
+    depth=st.integers(min_value=1, max_value=5),
+)
+def test_budget_properties_on_random_forests(seed, n_trees, d, m, depth):
+    rng = np.random.default_rng(seed)
+    forest = random_forest(rng, n_trees, d, m, depth)
+    for x in np.vstack([instances_on_thresholds(forest, rng, 1), rng.uniform(-12, 12, size=(1, d))]):
+        assert_tighter_budget_keeps_superset(forest, x, rng)
+        assert_certificate_inside_envelope(forest, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(row=st.integers(min_value=0, max_value=199), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_budget_properties_on_a_fitted_forest(row, seed):
+    data, forest = fitted(1)
+    assert_tighter_budget_keeps_superset(forest, data.features[row], np.random.default_rng(seed))
+    assert_certificate_inside_envelope(forest, data.features[row])
 
 
 def test_certificate_keeps_strict_lower_bound_open():
