@@ -17,7 +17,7 @@ from . import __version__
 from .dataset import Dataset, DatasetError, load_csv
 from .evaluation import make_synthetic, run_experiment, scalability_bench
 from .forest import LEAF, Forest, ForestConfig, ModelError, evaluate_mae, fit, load, save
-from .reduction import AllowedError, check_conclusive, default_allowed_error, explain
+from .reduction import MAX_PRECISION, AllowedError, check_conclusive, default_allowed_error, explain
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,6 +48,13 @@ def _int_at_least(low: int):
         return value
 
     return parse
+
+
+def _precision(text: str) -> int:
+    """An argparse type for a rendering precision in [0, MAX_PRECISION]."""
+    if _int_at_least(0)(text) > MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_PRECISION}, got {text}")
+    return int(text)
 
 
 def _float_where(ok, requirement: str):
@@ -352,7 +359,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scheme", choices=["global", "per-target"])
     p.add_argument("--min-support", type=_fraction, default=0.1)
     p.add_argument("--rank-order", choices=["asc", "desc"], default="asc")
-    p.add_argument("--precision", type=_int_at_least(0), default=2)
+    p.add_argument("--precision", type=_precision, default=2, help=f"decimals in the rule, at most {MAX_PRECISION}")
     p.add_argument(
         "--check-conclusive",
         type=_int_at_least(1),

@@ -98,7 +98,7 @@ def load_csv(path, target_columns, missing_policy: str = "zero_fill") -> Dataset
     if missing_policy not in MISSING_POLICIES:
         raise DatasetError(f"unknown missing policy {missing_policy!r}")
     target_columns = list(target_columns)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of a name
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -9,23 +9,27 @@ stack, in the order that fixes which candidates each node draws. Building a
 table with one root offset per tree, and keeps no per-tree object. For the
 walks, child links become global node indices and leaves link to
 themselves, so a fixed number of steps (the deepest tree's depth) routes
-every (tree, row) pair to its leaf. ``Forest.walk`` takes
-those steps for all trees at once, one depth level per step, over a (trees,
-rows) node array and returns the leaves; ``predict``, ``predict_batch`` and
-path extraction all use it. ``Forest.leaf_boxes`` holds every leaf's box,
-the tightest thresholds on its root path per feature, as two (leaves, d)
-arrays (about 1.2 MB for 500 trees of 7.6k leaves over 10 features); it is
+every (tree, row) pair to its leaf. ``Forest.walk`` takes those steps for
+all trees at once, one depth level per step, over a (trees, rows) node array
+and returns the leaves; ``predict``, ``predict_batch`` and path extraction
+all use it. ``Forest.leaf_boxes`` holds every leaf's box, the tightest
+thresholds on its root path per feature, as two (leaves, d) arrays; it is
 built by one level walk the first time a path is extracted, so ``fit``,
 ``load`` and prediction never pay for it. ``Forest.reach`` walks a box of
 feature intervals the same way and collects every leaf some point of the box
 reaches. The per-target leaf extremes, which the reduction step needs to
 bound what an excluded tree could have predicted, are stacked once as
-(trees, m) arrays. Every table derived from the nodes is read-only, as the
-nodes are. The structure is checked when the forest is built (at least one
-target, no repeated feature or target name, node arrays and feature bounds of
-the right shapes, features in range, children after their parent inside the
-same tree, finite numbers), so the walk ends on every forest that can be
-built.
+(trees, m) arrays. Every table derived from the nodes is read-only.
+
+Building a ``Forest`` is the one check of a forest's structure, however the
+trees were made: distinct string names, at least one target, finite (d, 2)
+feature bounds of numbers, one tree per ``config.n_estimators``, node arrays
+of the shape, element kind and dtype the node schema ``_TREE_ARRAYS`` gives
+(shape first, kind second, cast last), features in range, children after
+their parent inside the same tree, finite numbers. So the walk ends on every
+forest that can be built. ``load`` adds only what parsing JSON needs: no
+bool or string where numbers belong, since numpy reads ``[1, true]`` as
+``[1, 1]``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import functools
 import itertools
 import json
 import numbers
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -61,19 +66,15 @@ class ForestConfig:
     normalize_targets: bool = False  # per-target variance scaling in the split gain
 
     def __post_init__(self):
-        for name in ("n_estimators", "min_samples_leaf", "max_depth", "seed"):
+        for name, low in (("n_estimators", 1), ("min_samples_leaf", 1), ("max_depth", 0), ("seed", 0)):
             value = getattr(self, name)
             if name == "max_depth" and value is None:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ModelError(f"{name} must be an integer, got {value!r}")
+            if value < low:  # a negative seed cannot seed numpy's generator
+                raise ModelError(f"{name} must be >= {low}")
             object.__setattr__(self, name, int(value))  # numpy integers too, so the config saves as JSON
-        if self.n_estimators < 1:
-            raise ModelError("n_estimators must be >= 1")
-        if self.min_samples_leaf < 1:
-            raise ModelError("min_samples_leaf must be >= 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ModelError("max_depth must be >= 0")
         for name in ("bootstrap", "normalize_targets"):
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
@@ -93,6 +94,21 @@ class ForestConfig:
         if self.max_features == "sqrt":
             return max(1, int(np.sqrt(d)))
         return max(1, int(round(float(self.max_features) * d)))
+
+
+# The node schema, which ``Forest`` applies to every tree and ``save`` writes
+# as one v1 JSON object per tree, in this order. Per array: what its elements
+# may be ("integers" or "numbers", as numpy kinds), the dtype it is cast to,
+# and whether it has one column per target, shape (n, m), rather than (n,).
+_HOLDS = {"integers": "i", "numbers": "if"}
+_TREE_ARRAYS = {
+    "feature": ("integers", np.int64, False),
+    "threshold": ("numbers", np.float64, False),
+    "left": ("integers", np.int64, False),
+    "right": ("integers", np.int64, False),
+    "value": ("numbers", np.float64, True),
+    "sample_count": ("integers", np.int64, False),
+}
 
 
 class Tree(NamedTuple):
@@ -147,33 +163,50 @@ class Forest:
     """
 
     def __init__(self, trees: list[Tree], config: ForestConfig, feature_names, target_names, feature_bounds):
-        self.config = config
-        self.feature_names = tuple(feature_names)
-        self.target_names = tuple(target_names)
-        if not self.target_names:
-            raise ModelError("model has no targets")
-        for kind, names in (("feature", self.feature_names), ("target", self.target_names)):
+        if config.n_estimators != len(trees):
+            raise ModelError(f"config.n_estimators is {config.n_estimators}, but the forest has {len(trees)} trees")
+        for kind, names in (("feature", feature_names), ("target", target_names)):
+            if isinstance(names, str) or not isinstance(names, Sequence) or not all(isinstance(n, str) for n in names):
+                raise ModelError(f"{kind}_names must be a sequence of strings, not one str or other values")
             if len(set(names)) != len(names):
                 raise ModelError(f"repeated {kind} name {next(n for n in names if names.count(n) > 1)!r}")
-        self.feature_bounds = _read_only(np.array(feature_bounds, dtype=np.float64))  # (d, 2) training min/max
-        if self.feature_bounds.shape != (self.d, 2) or not np.isfinite(self.feature_bounds).all():
-            raise ModelError(f"feature_bounds must be a finite ({self.d}, 2) array")
-        if not trees:
-            raise ModelError("forest has no trees")
-        for t, tree in enumerate(trees):
-            n = np.shape(tree.feature)[:1] or (0,)  # a 0-d feature array fails its own test
-            expected = (n, n, n, n, n + (self.m,), n)  # in Tree's field order
-            for name, array, shape in zip(Tree._fields, tree, expected):
-                if np.shape(array) != shape:
-                    raise ModelError(f"tree {t}: {name} has shape {np.shape(array)}, expected {shape}")
-        sizes = np.asarray([tree.n_nodes for tree in trees], dtype=np.int64)
-        if (sizes < 1).any():
-            raise ModelError(f"tree {int(np.argmax(sizes < 1))}: needs at least one node")
-        self.roots = _read_only(np.concatenate([[0], np.cumsum(sizes)[:-1]]))  # (T,) first node of each tree
+        self.config, self.feature_names, self.target_names = config, tuple(feature_names), tuple(target_names)
+        if not self.target_names:
+            raise ModelError("model has no targets")
+        try:
+            bounds = np.array(feature_bounds)  # a copy: the caller's array stays as it is
+        except ValueError:  # a ragged list
+            bounds = np.empty(0)  # fails the shape test
+        if bounds.shape != (self.d, 2) or bounds.dtype.kind not in _HOLDS["numbers"] or not np.isfinite(bounds).all():
+            raise ModelError(f"feature_bounds must be a finite ({self.d}, 2) array of numbers")
+        self.feature_bounds = _read_only(bounds.astype(np.float64, copy=False))  # (d, 2) training min/max
         # (N,) arrays in Tree's field order: split feature (LEAF at leaves), threshold, in-tree left and
         # right child at inner nodes, (N, m) leaf predictions and the training rows that reached the node
-        packed = [_read_only(np.concatenate(arrays)) for arrays in zip(*trees)]
+        packed, nodes = [], None
+        for name, column in zip(_TREE_ARRAYS, zip(*trees)):
+            holds, dtype, per_target = _TREE_ARRAYS[name]
+            arrays = []
+            for t, array in enumerate(column):
+                try:
+                    arrays.append(np.asarray(array))
+                except ValueError as exc:  # a ragged list
+                    raise ModelError(f"tree {t}: {name} is not an array ({exc})") from None
+            shapes = [array.shape for array in arrays]
+            if nodes is None:  # each tree's node count, from its feature array (0 for a 0-d one, which fails)
+                nodes = [shape[0] if shape else 0 for shape in shapes]
+            expected = [(n, self.m) if per_target else (n,) for n in nodes]
+            if shapes != expected:
+                t = next(t for t, shape in enumerate(shapes) if shape != expected[t])
+                raise ModelError(f"tree {t}: {name} has shape {shapes[t]}, expected {expected[t]}")
+            if 0 in nodes:
+                raise ModelError(f"tree {nodes.index(0)}: needs at least one node")
+            if not {array.dtype.kind for array in arrays}.issubset(_HOLDS[holds]):
+                t = next(t for t, array in enumerate(arrays) if array.dtype.kind not in _HOLDS[holds])
+                raise ModelError(f"tree {t}: {name} holds {arrays[t].dtype} values, expected {holds}")
+            packed.append(_read_only(np.concatenate(arrays).astype(dtype, copy=False)))
         self.feature, self.threshold, self.left, self.right, self.value, self.sample_count = packed
+        sizes = np.array(nodes)
+        self.roots = _read_only(np.concatenate([[0], np.cumsum(sizes)[:-1]]))  # (T,) first node of each tree
         tree_of = np.repeat(np.arange(self.n_trees), sizes)
         node = np.arange(self.feature.shape[0])
         leaf = self.feature == LEAF
@@ -439,19 +472,10 @@ def fit(train, config: ForestConfig) -> Forest:
     trees = []
     for t in range(config.n_estimators):
         rng = np.random.default_rng([config.seed, t])
-        if config.bootstrap:
-            rows = rng.integers(0, n, size=n)
-            trees.append(_grow_tree(X[rows], Y[rows], config, rng, scale))
-        else:
-            trees.append(_grow_tree(X, Y, config, rng, scale))
+        rows = rng.integers(0, n, size=n) if config.bootstrap else slice(None)
+        trees.append(_grow_tree(X[rows], Y[rows], config, rng, scale))
     bounds = np.column_stack([X.min(axis=0), X.max(axis=0)])
-    return Forest(
-        trees=trees,
-        config=config,
-        feature_names=train.feature_names,
-        target_names=train.target_names,
-        feature_bounds=bounds,
-    )
+    return Forest(trees, config, train.feature_names, train.target_names, bounds)
 
 
 def evaluate_mae(forest: Forest, data) -> tuple[np.ndarray, float]:
@@ -461,21 +485,6 @@ def evaluate_mae(forest: Forest, data) -> tuple[np.ndarray, float]:
     preds = predict_batch(forest, data.features)
     per_target = np.abs(preds - data.targets).mean(axis=0)
     return per_target, float(per_target.mean())
-
-
-# The v1 node schema: each tree is one JSON object of these node arrays, in
-# this order. Per array: what its elements may be ("integers" or "numbers",
-# as the numpy kinds of the parsed list), the dtype it is cast to, and
-# whether it has one column per target, shape (n, m), rather than shape (n,).
-_HOLDS = {"integers": "i", "numbers": "if"}
-_TREE_ARRAYS = {
-    "feature": ("integers", np.int64, False),
-    "threshold": ("numbers", np.float64, False),
-    "left": ("integers", np.int64, False),
-    "right": ("integers", np.int64, False),
-    "value": ("numbers", np.float64, True),
-    "sample_count": ("integers", np.int64, False),
-}
 
 
 def save(forest: Forest, path) -> None:
@@ -494,41 +503,14 @@ def save(forest: Forest, path) -> None:
 
 def _numbers_only(values: list, nested: bool) -> bool:
     """Whether a parsed JSON list (of lists, if ``nested``) holds only ints
-    and floats. numpy would read a bool beside numbers as 1 or 0, and a cast
-    to float would parse a numeric string."""
+    and floats. numpy would read a bool beside numbers as 1 or 0, which no
+    later test of the array's kind could see."""
     return set(map(type, itertools.chain.from_iterable(values) if nested else values)) <= {int, float}
 
 
-def _read_tree(arrays: dict, m: int) -> Tree:
-    """One tree, each node array checked against ``_TREE_ARRAYS`` before it
-    is cast, so no value is rounded or wrapped into range and no bool is read
-    as a number. Building the forest checks the structure (feature range,
-    child order, finite numbers)."""
-    n = len(arrays["feature"]) if isinstance(arrays["feature"], list) else 0
-    if n < 1:
-        raise ModelError("needs at least one node")
-    cast = {}
-    for name, (holds, dtype, per_target) in _TREE_ARRAYS.items():
-        array = np.asarray(arrays[name])
-        shape = (n, m) if per_target else (n,)
-        if array.shape != shape:
-            raise ModelError(f"{name} has shape {array.shape}, expected {shape}")
-        if array.dtype.kind not in _HOLDS[holds]:
-            raise ModelError(f"{name} holds {array.dtype} values, expected {holds}")
-        if not _numbers_only(arrays[name], per_target):  # after the kind test, only a bool can fail
-            raise ModelError(f"{name} holds a bool, expected {holds}")
-        cast[name] = array.astype(dtype, copy=False)
-    return Tree(**cast)
-
-
-def _names(doc: dict, key: str) -> tuple[str, ...]:
-    names = doc[key]
-    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-        raise TypeError(f"{key} must be a list of strings")
-    return tuple(names)
-
-
 def load(path) -> Forest:
+    """Read a model file. Only what JSON parsing can get wrong is checked
+    here; ``Forest`` checks the structure, as for any forest."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -539,33 +521,20 @@ def load(path) -> Forest:
     version = doc.get("version")
     if isinstance(version, bool) or version != MODEL_VERSION:  # True == 1
         raise ModelError(f"{path}: unsupported model version {version!r}")
-    corrupt = (KeyError, TypeError, ValueError, OverflowError)
     try:
         config = ForestConfig(**doc["config"])
-        feature_names = _names(doc, "feature_names")
-        target_names = _names(doc, "target_names")
-        bounds = np.asarray(doc["feature_bounds"], dtype=np.float64)
-        parsed = doc.pop("trees")
-        n_trees = len(parsed)
-    except corrupt as exc:
+        fields = [doc[key] for key in ("feature_names", "target_names", "feature_bounds")]
+        if not _numbers_only(fields[2], True):
+            raise ValueError("feature_bounds must hold numbers, not bools or strings")
+        trees = []
+        for t, parsed in enumerate(doc.pop("trees")):  # the parsed lists are freed after the loop
+            for name, (_, _, per_target) in _TREE_ARRAYS.items():
+                if not _numbers_only(parsed[name], per_target):
+                    raise ValueError(f"tree {t}: {name} must hold numbers, not bools or strings")
+            trees.append(Tree(*(np.asarray(parsed[name]) for name in _TREE_ARRAYS)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ForestConfig's ModelError too
         raise ModelError(f"{path}: corrupt model file ({exc})") from None
-    if config.n_estimators != n_trees:
-        raise ModelError(f"{path}: config.n_estimators is {config.n_estimators}, but the file has {n_trees} trees")
-    d, m = len(feature_names), len(target_names)
-    if bounds.shape != (d, 2) or not np.isfinite(bounds).all():
-        raise ModelError(f"{path}: feature_bounds must be a finite ({d}, 2) array")
-    if not _numbers_only(doc["feature_bounds"], True):
-        raise ModelError(f"{path}: feature_bounds must hold numbers, not bools or strings")
-    trees = []
-    for t, arrays in enumerate(parsed):
-        try:
-            trees.append(_read_tree(arrays, m))
-        except ModelError as exc:
-            raise ModelError(f"{path}: tree {t}: {exc}") from None
-        except corrupt as exc:
-            raise ModelError(f"{path}: tree {t}: corrupt model file ({exc})") from None
-    del parsed, arrays  # release the parsed trees before they are packed
     try:
-        return Forest(trees, config, feature_names, target_names, bounds)
+        return Forest(trees, config, *fields)
     except ModelError as exc:
         raise ModelError(f"{path}: {exc}") from None

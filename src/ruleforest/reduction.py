@@ -27,6 +27,8 @@ from .dataset import Dataset, kfold
 from .forest import Forest, ForestConfig, fit, predict, predict_batch
 from .paths import AssociationModel, Paths, rank_features
 
+MAX_PRECISION = 1074  # a float64's fixed-point expansion ends within 1074 fractional digits
+
 
 @dataclass(frozen=True)
 class AllowedError:
@@ -285,8 +287,10 @@ def render_rule(rule: Rule, feature_names, target_names, precision: int = 2) -> 
     """One-line text form: ``if lo <= name <= hi & ... then target: v±b, ...``.
 
     Strict lower bounds are displayed closed by nudging them up one step at
-    the requested precision.
+    the requested precision, which must be in [0, MAX_PRECISION].
     """
+    if not 0 <= precision <= MAX_PRECISION:
+        raise ValueError(f"precision must be in [0, {MAX_PRECISION}], got {precision}")
     step = 10.0 ** (-precision)
 
     def num(v: float) -> str:

@@ -7,6 +7,7 @@ import pytest
 import ruleforest.cli as cli_module
 from ruleforest import Dataset, load_csv, make_synthetic, save_csv
 from ruleforest.cli import main
+from ruleforest.reduction import MAX_PRECISION
 from test_forest import CORRUPTIONS
 
 RULE_RE = re.compile(
@@ -291,6 +292,8 @@ RANGE_CASES = {
     "explain_allowed_error_negative": ["explain", "--allowed-error", "-1"],
     "explain_instance_nan": ["explain", "--instance", "0.1,nan,0.3,0.4"],
     "explain_instance_inf": ["explain", "--instance", "0.1,0.2,inf,0.4"],
+    "explain_precision_above_max": ["explain", "--precision", str(MAX_PRECISION + 1)],
+    "explain_precision_too_big_to_format": ["explain", "--precision", "3000000000"],
     "bench_synthetic_zero": ["bench", "--synthetic", "0,4,2"],
     "bench_noise_negative": ["bench", "--noise", "-1"],
     "bench_allowed_errors_empty": ["bench", "--allowed-errors", ","],
@@ -313,6 +316,15 @@ def test_out_of_range_value_is_usage_error(workspace, capsys, tmp_path, case):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize("precision", [MAX_PRECISION + 1, 3_000_000_000])
+def test_precision_above_max_fails_at_parse_time(capsys, monkeypatch, precision):
+    monkeypatch.setattr(cli_module, "load", lambda path: pytest.fail("the model was loaded"))
+    argv = ["explain", "--model", "m.model", "--instance", "0.1", "--allowed-error", "0.2", "--precision", str(precision)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: argument --precision: must be <= {MAX_PRECISION}, got {precision}\n"
 
 
 def test_non_numeric_instance_is_usage_error_naming_the_value(workspace, capsys):

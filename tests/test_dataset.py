@@ -24,6 +24,17 @@ def test_load_complete(tmp_path):
     np.testing.assert_array_equal(ds.targets[2], [11, 12])
 
 
+def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path):
+    plain = load_csv(write(tmp_path, CSV_COMPLETE), ["t1", "t2"])
+    marked_path = tmp_path / "marked.csv"
+    marked_path.write_bytes(b"\xef\xbb\xbf" + CSV_COMPLETE.encode())
+    marked = load_csv(marked_path, ["t1", "t2"])
+    assert marked.feature_names == plain.feature_names == ("a", "b")
+    assert marked.target_names == plain.target_names
+    np.testing.assert_array_equal(marked.features, plain.features)
+    np.testing.assert_array_equal(marked.targets, plain.targets)
+
+
 def test_target_order_respected(tmp_path):
     ds = load_csv(write(tmp_path, CSV_COMPLETE), ["t2", "t1"])
     np.testing.assert_array_equal(ds.targets[0], [4, 3])

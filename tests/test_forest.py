@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ruleforest.forest as forest_module
 from conftest import build_forest, build_tree, leaf, predict_tree, random_forest, split
@@ -199,6 +200,7 @@ CORRUPTIONS = {
     "n_estimators_not_tree_count": lambda doc: _set(doc, "config", "n_estimators", 7),
     # values save never writes, which a forced cast would round, wrap or overflow on
     "seed_string": lambda doc: _set(doc, "config", "seed", "x"),
+    "seed_negative": lambda doc: _set(doc, "config", "seed", -1),
     "feature_huge": lambda doc: _set(doc["trees"][0], "feature", 0, 2**70),
     "feature_fractional": lambda doc: _set(doc["trees"][0], "feature", 0, doc["trees"][0]["feature"][0] + 0.5),
     "left_fractional": lambda doc: _set(doc["trees"][0], "left", 0, doc["trees"][0]["left"][0] + 0.5),
@@ -242,6 +244,14 @@ def test_load_rejects_corrupt_tree(tmp_path, corruption):
 )
 def test_config_rejects_non_integers(field, value):
     with pytest.raises(ModelError, match=f"{field} must be an integer"):
+        ForestConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n_estimators", 0), ("min_samples_leaf", 0), ("max_depth", -1), ("seed", -1)]
+)
+def test_config_rejects_integers_out_of_range(field, value):
+    with pytest.raises(ModelError, match=f"{field} must be >= {value + 1}"):
         ForestConfig(**{field: value})
 
 
@@ -378,37 +388,93 @@ def test_forest_rejects_child_pointing_back_to_root():
         )
 
 
-@pytest.mark.parametrize(
-    "tree, target_names, bounds, message",
-    [
-        (build_tree(leaf([1.0])), ("t0", "t1"), [[-1.0, 1.0]], r"tree 1: value has shape \(1, 1\), expected \(1, 2\)"),
-        (build_tree(leaf([1.0])), ("t0",), [-1.0, 1.0, 0.0], r"feature_bounds must be a finite \(1, 2\) array"),
-        (build_tree(leaf([1.0])), ("t0",), [[-1.0, np.inf]], r"feature_bounds must be a finite \(1, 2\) array"),
-        (
-            build_tree(split(0, 0.5, leaf([1.0]), leaf([2.0])))._replace(threshold=np.array([0.5])),
-            ("t0",),
-            [[-1.0, 1.0]],
-            r"tree 1: threshold has shape \(1,\), expected \(3,\)",
-        ),
-        (
-            build_tree(leaf([1.0]))._replace(feature=np.array(-1)),
-            ("t0",),
-            [[-1.0, 1.0]],
-            r"tree 1: feature has shape \(\), expected \(0,\)",
-        ),
-    ],
-    ids=["value_narrower_than_targets", "bounds_not_2d", "bounds_not_finite", "threshold_short", "feature_0d"],
-)
-def test_forest_checks_array_shapes_as_load_does(tree, target_names, bounds, message):
-    m = len(target_names)
+SPLIT = build_tree(split(0, 0.5, leaf([1.0]), leaf([2.0])))
+
+# id: (the second tree, the Forest arguments that replace the valid ones, the ModelError message)
+FOREST_FAULTS = {
+    "value_narrower_than_targets": (
+        build_tree(leaf([1.0])),
+        {"target_names": ("t0", "t1")},
+        r"tree 1: value has shape \(1, 1\), expected \(1, 2\)",
+    ),
+    "bounds_not_2d": (SPLIT, {"feature_bounds": [-1.0, 1.0, 0.0]}, r"feature_bounds must be a finite \(1, 2\) array"),
+    "bounds_not_finite": (SPLIT, {"feature_bounds": [[-1.0, np.inf]]}, r"feature_bounds must be a finite \(1, 2\) array"),
+    "bounds_ragged": (SPLIT, {"feature_bounds": [[-1.0, 1.0], [2.0]]}, r"feature_bounds must be a finite \(1, 2\) array"),
+    "bounds_strings": (SPLIT, {"feature_bounds": [["low", "high"]]}, r"feature_bounds must be .* of numbers"),
+    "bounds_numeric_strings": (SPLIT, {"feature_bounds": [["-1", "1.5"]]}, r"feature_bounds must be .* of numbers"),
+    "threshold_short": (SPLIT._replace(threshold=np.array([0.5])), {}, r"tree 1: threshold has shape \(1,\), expected \(3,\)"),
+    "feature_0d": (build_tree(leaf([1.0]))._replace(feature=np.array(-1)), {}, r"tree 1: feature has shape \(\), expected \(0,\)"),
+    "feature_float": (
+        SPLIT._replace(feature=SPLIT.feature.astype(np.float64)),
+        {},
+        "tree 1: feature holds float64 values, expected integers",
+    ),
+    "left_float": (SPLIT._replace(left=SPLIT.left.astype(np.float64)), {}, "tree 1: left holds float64 values, expected integers"),
+    "value_complex": (
+        SPLIT._replace(value=SPLIT.value.astype(np.complex128)),
+        {},
+        "tree 1: value holds complex128 values, expected numbers",
+    ),
+    "sample_count_bool": (
+        SPLIT._replace(sample_count=SPLIT.sample_count.astype(bool)),
+        {},
+        "tree 1: sample_count holds bool values, expected integers",
+    ),
+    # one string of one character per name, which would split into valid names
+    "feature_names_str": (SPLIT, {"feature_names": "f"}, "feature_names must be a sequence of strings"),
+    "target_names_str": (SPLIT, {"target_names": "t"}, "target_names must be a sequence of strings"),
+    "feature_names_not_strings": (SPLIT, {"feature_names": (0,)}, "feature_names must be a sequence of strings"),
+    "target_names_not_strings": (SPLIT, {"target_names": [b"t0"]}, "target_names must be a sequence of strings"),
+    "n_estimators_not_tree_count": (
+        SPLIT,
+        {"config": ForestConfig(n_estimators=3)},
+        "config.n_estimators is 3, but the forest has 2 trees",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FOREST_FAULTS))
+def test_forest_checks_array_shapes_as_load_does(case):
+    tree, changes, message = FOREST_FAULTS[case]
+    arguments = {
+        "config": ForestConfig(n_estimators=2),
+        "feature_names": ("f0",),
+        "target_names": ("t0",),
+        "feature_bounds": [[-1.0, 1.0]],
+        **changes,
+    }
+    first = build_tree(leaf(np.zeros(len(arguments["target_names"]))))  # valid for the targets given
     with pytest.raises(ModelError, match=message):
-        Forest(
-            trees=[build_tree(leaf(np.zeros(m))), tree],
-            config=ForestConfig(n_estimators=2),
-            feature_names=("f0",),
-            target_names=target_names,
-            feature_bounds=np.asarray(bounds),
-        )
+        Forest(trees=[first, tree], **arguments)
+
+
+# one dtype per numpy kind: bool, signed, unsigned, float, complex, str and object
+KIND_DTYPES = {"b": np.bool_, "i": np.int32, "u": np.uint8, "f": np.float32, "c": np.complex64, "U": "U3", "O": object}
+
+
+@st.composite
+def tree_with_one_array_replaced(draw, valid):
+    """``valid`` with one node array of any kind: its values cast, or any values of any shape."""
+    name = draw(st.sampled_from(Tree._fields))
+    array, dtype = getattr(valid, name), KIND_DTYPES[draw(st.sampled_from(sorted(KIND_DTYPES)))]
+    if draw(st.booleans()):
+        return valid._replace(**{name: array.astype(dtype)})
+    shape = draw(st.just(array.shape) | hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    elements = st.integers(-3, 3) | st.floats() | st.none() if dtype is object else None
+    return valid._replace(**{name: draw(hnp.arrays(dtype, shape, elements=elements))})
+
+
+VALID_TREE = build_tree(split(1, 0.5, leaf([1.0, 2.0]), split(0, -0.5, leaf([3.0, 4.0]), leaf([5.0, 6.0]))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tree=tree_with_one_array_replaced(VALID_TREE))
+def test_forest_of_arrays_of_any_kind_and_shape_predicts_or_fails_cleanly(tree):
+    try:
+        forest = Forest([VALID_TREE, tree], ForestConfig(n_estimators=2), ("f0", "f1"), ("t0", "t1"), [[-1.0, 1.0]] * 2)
+    except ModelError:
+        return
+    assert np.isfinite(predict(forest, np.zeros(2))).all()
 
 
 def test_tree_fields_are_the_model_arrays_in_order():

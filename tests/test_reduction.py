@@ -30,7 +30,7 @@ from ruleforest import (
 import ruleforest.reduction as reduction_module
 from ruleforest.forest import LEAF
 from ruleforest.paths import rank_features
-from ruleforest.reduction import Rule, RuleTerm, _step_gaps, explain
+from ruleforest.reduction import MAX_PRECISION, Rule, RuleTerm, _step_gaps, explain
 
 
 def formula_oracle(preds, mins, maxs, kept):
@@ -537,6 +537,17 @@ def test_render_nudges_strict_lower_bound():
 def test_render_empty_antecedent():
     rule = Rule([], [(0, 1.0, 0.2), (1, 2.0, 0.3)], 3)
     assert render_rule(rule, [], ["u", "v"]) == "then u: 1.00±0.20, v: 2.00±0.30"
+
+
+def test_render_precision_stops_where_float64_digits_end():
+    tiny = 5e-324  # the smallest subnormal float64, 2**-1074: its expansion is the longest
+    rule = Rule([], [(0, tiny, 0.0)], 1)
+    text = render_rule(rule, [], ["t0"], precision=MAX_PRECISION)
+    assert text.startswith("then t0: 0.") and text.split("±")[0].endswith("5")  # every digit shown, the last nonzero
+    assert f"{tiny:.{MAX_PRECISION + 1}f}".endswith("50")  # one more place only pads a zero
+    for precision in (-1, MAX_PRECISION + 1, 3_000_000_000):
+        with pytest.raises(ValueError, match="precision must be in"):
+            render_rule(rule, [], ["t0"], precision=precision)
 
 
 def test_render_multi_term_shape(rng):
