@@ -267,6 +267,14 @@ class Forest:
             raise ModelError("instance contains non-finite values")
         return x
 
+    def _check_matrix(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ModelError(f"expected an (n, {self.d}) matrix, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ModelError("batch contains non-finite values")
+        return X
+
     def walk(self, X: np.ndarray) -> np.ndarray:
         """Global leaf node ids, shape (T, rows), of every row of X in every tree.
 
@@ -351,11 +359,7 @@ def predict_batch(forest: Forest, X) -> np.ndarray:
     totalled as one (trees, m) block, the sum ``predict`` takes, so a row's
     prediction does not depend on the rows that share its batch.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != forest.d:
-        raise ModelError(f"expected an (n, {forest.d}) matrix, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ModelError("batch contains non-finite values")
+    X = forest._check_matrix(X)
     total = np.empty((X.shape[0], forest.m))
     step = max(1, WALK_CHUNK_ELEMENTS // forest.n_trees)
     for start in range(0, X.shape[0], step):
@@ -488,17 +492,23 @@ def evaluate_mae(forest: Forest, data) -> tuple[np.ndarray, float]:
 
 
 def save(forest: Forest, path) -> None:
-    doc = {
+    """Write the v1 JSON document: the header fields, then ``trees``, one
+    object per tree. Each tree is encoded by its own ``json.dumps``, so the
+    C encoder does the work and only one tree's lists are held at a time;
+    the bytes are those ``json.dump`` of the whole document writes."""
+    header = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "config": asdict(forest.config),
         "feature_names": list(forest.feature_names),
         "target_names": list(forest.target_names),
         "feature_bounds": forest.feature_bounds.tolist(),
-        "trees": [{name: getattr(tree, name).tolist() for name in _TREE_ARRAYS} for tree in forest.trees],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(header)[:-1] + ', "trees": [')
+        for t, tree in enumerate(forest.trees):
+            fh.write((", " if t else "") + json.dumps({name: getattr(tree, name).tolist() for name in _TREE_ARRAYS}))
+        fh.write("]}")
 
 
 def _numbers_only(values: list, nested: bool) -> bool:

@@ -89,6 +89,11 @@ def extract_paths(forest: Forest, x) -> Paths:
     return Paths(lo, hi, used, leaves - forest.roots, forest.value.take(leaves, axis=0))
 
 
+def _check_min_support(min_support: float) -> None:
+    if not 0.0 < min_support <= 1.0:
+        raise ValueError("min_support must be in (0, 1]")
+
+
 def mine(paths: Paths, min_support: float = 0.1) -> AssociationModel:
     """Mine pairwise association rules over the paths' feature sets.
 
@@ -101,8 +106,7 @@ def mine(paths: Paths, min_support: float = 0.1) -> AssociationModel:
     """
     if len(paths) == 0:
         raise ValueError("need at least one path")
-    if not 0.0 < min_support <= 1.0:
-        raise ValueError("min_support must be in (0, 1]")
+    _check_min_support(min_support)
     features = np.flatnonzero(paths.used.any(axis=0))
     if not features.size:
         return AssociationModel(features, np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0))

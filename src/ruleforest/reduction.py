@@ -9,6 +9,10 @@ adjusted prediction, and the local error equals
 ``|adjusted − prediction|``. Every step's kept count and local errors come
 from one pass, and the result keeps them as its ``trace``.
 
+``explain_batch`` runs the same stages for many instances at once, on
+arrays with a leading instance axis, and gives each instance the rule
+``explain`` gives it, as arrays rather than ``Rule`` objects.
+
 ``check_conclusive`` certifies a rule exactly, with no sampling: it walks the
 rule's region, a box, down the packed forest once and bounds every tree by
 its lowest and highest reachable leaf, which gives the range of the forest's
@@ -25,9 +29,10 @@ import numpy as np
 
 from .dataset import Dataset, kfold
 from .forest import Forest, ForestConfig, fit, predict, predict_batch
-from .paths import AssociationModel, Paths, rank_features
+from .paths import AssociationModel, Paths, _check_min_support, rank_features
 
 MAX_PRECISION = 1074  # a float64's fixed-point expansion ends within 1074 fractional digits
+EXPLAIN_CHUNK_ELEMENTS = 1 << 16  # (row, tree, feature) plus (row, feature, feature) elements per explain_batch step
 
 
 @dataclass(frozen=True)
@@ -156,23 +161,26 @@ class _StepGaps(NamedTuple):
     abs_shift: np.ndarray  # summed |substituted minus actual prediction|
 
 
-def _step_gaps(paths: Paths, forest: Forest, entry: np.ndarray, n_steps: int) -> _StepGaps:
-    """Total the gaps between the leaf predictions and the forest's stacked
-    leaf extremes of the trees each step excludes (tree i at step k when
-    ``entry[i] > k``), and move each step's excluded trees, per target, to
-    the side with the larger total.
+def _step_gaps(preds: np.ndarray, forest: Forest, entry: np.ndarray, n_steps: int) -> _StepGaps:
+    """Total the gaps between the leaf predictions ``preds`` (trees, m) and
+    the forest's stacked leaf extremes of the trees each step excludes (tree
+    i at step k when ``entry[i] > k``), and move each step's excluded trees,
+    per target, to the side with the larger total. Leading axes of ``preds``
+    and ``entry`` are instances, each totalled on its own.
 
-    Rows are summed by entry step (one ``bincount``, which adds each step's
-    rows in tree order), then suffix-summed from the last step back, so a
-    step that excludes nothing totals exactly 0.
+    The gaps are summed by entry step (one ``bincount``, which adds each
+    step's trees in tree order, with each instance's bins after the previous
+    one's), then suffix-summed from the last step back, so a step that
+    excludes nothing totals exactly 0.
     """
-    preds = paths.leaf_prediction
-    rows = np.hstack([preds - forest.leaf_min, forest.leaf_max - preds])
-    cols = rows.shape[1]
-    bins = (entry[:, None] * cols + np.arange(cols)).ravel()
-    by_entry = np.bincount(bins, rows.ravel(), (n_steps + 1) * cols).reshape(n_steps + 1, cols)
-    totals = np.cumsum(by_entry[::-1], axis=0)[::-1][1:]
-    low, high = np.hsplit(totals, 2)
+    m, lead = preds.shape[-1], entry.shape[:-1]
+    gaps = np.concatenate([preds - forest.leaf_min, forest.leaf_max - preds], axis=-1)
+    offset = (n_steps + 1) * np.arange(entry.size // entry.shape[-1]).reshape(lead + (1,))
+    bins = ((offset + entry)[..., None] * (2 * m) + np.arange(2 * m)).ravel()
+    by_entry = np.bincount(bins, gaps.ravel(), offset.size * (n_steps + 1) * 2 * m)
+    by_entry = by_entry.reshape(lead + (n_steps + 1, 2 * m))
+    totals = np.cumsum(by_entry[..., ::-1, :], axis=-2)[..., -2::-1, :]
+    low, high = totals[..., :m], totals[..., m:]
     take_low = low >= high
     low_taken, high_taken = np.where(take_low, low, 0.0), np.where(take_low, 0.0, high)
     return _StepGaps(low, high, high_taken - low_taken, low_taken + high_taken)
@@ -184,7 +192,7 @@ def _kept_step(paths: Paths, kept, forest: Forest) -> _StepGaps:
     if not kept:
         raise ValueError("kept set must be non-empty")
     excluded = np.asarray([i not in kept for i in range(len(paths))], dtype=np.int64)
-    return _step_gaps(paths, forest, excluded, 1)
+    return _step_gaps(paths.leaf_prediction, forest, excluded, 1)
 
 
 def local_error(paths: Paths, kept, forest: Forest) -> np.ndarray:
@@ -223,7 +231,7 @@ def reduce_paths(
     step_of = np.full(paths.used.shape[1], n_steps)
     step_of[ranking] = np.arange(1, n_steps)
     entry = np.where(paths.used, step_of, 0).max(axis=1, initial=0)
-    gaps = _step_gaps(paths, forest, entry, n_steps)
+    gaps = _step_gaps(paths.leaf_prediction, forest, entry, n_steps)
     errors = gaps.abs_shift / n
     passes = allowed.passes(errors)
     passes[: entry.min()] = False  # no path is kept yet
@@ -403,3 +411,100 @@ def explain(
     stages = ("extract", "mine", "reduce", "compose")
     timings = {stage: end - begin for stage, begin, end in zip(stages, clock, clock[1:])}
     return Explanation(rule, reduction, paths, clock[-1] - clock[0], rendered, timings)
+
+
+class RuleBatch(NamedTuple):
+    """One budget's rules for a batch of instances, as arrays: row b holds
+    the rule ``explain`` gives instance b. ``lo``, ``hi`` and ``lo_open``
+    are each rule's box in ``Rule.box`` form, unbounded on a feature that no
+    term names."""
+
+    kept: np.ndarray  # (B, T) the kept paths
+    lo: np.ndarray  # (B, d)
+    hi: np.ndarray  # (B, d)
+    lo_open: np.ndarray  # (B, d) bool
+    values: np.ndarray  # (B, m) consequent values, the forest's predictions for the instances
+    errors: np.ndarray  # (B, m) local errors, the consequent bounds
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """(B,) each rule's term count; every term has a finite lower bound."""
+        return np.isfinite(self.lo).sum(axis=1)
+
+    def covers(self, X) -> np.ndarray:
+        """(B, n) whether each rule's box holds each row of ``X``, as
+        ``Rule.contains(X).all(axis=1)`` tests it."""
+        X = np.asarray(X, dtype=np.float64)[None]
+        lo, hi, lo_open = self.lo[:, None], self.hi[:, None], self.lo_open[:, None]
+        return (np.where(lo_open, X > lo, X >= lo) & (X <= hi)).all(axis=2)
+
+
+def explain_batch(forest: Forest, X, allowed_errors, min_support: float = 0.1) -> list[RuleBatch]:
+    """``explain`` for every row of ``X`` at every budget of ``allowed_errors``,
+    in ascending rank order, as one ``RuleBatch`` per budget. Row b equals
+    ``explain(forest, X[b], allowed, min_support)`` bit for bit: kept paths,
+    box, consequent values and local errors.
+
+    Each stage runs on (rows, trees, features) arrays. Extract: one walk of
+    the rows and row gathers from ``leaf_boxes``. Mine: the supports of all
+    features from one batched ``used.T @ used``; a feature no path of a row
+    tests has support 0, pairs with nothing and adds only +0.0 to a
+    confidence sum, so every other feature scores as in ``mine``. Rank and
+    reduce: a stable sort per row on the scores, with such features last,
+    gives each feature's step, and one ``bincount`` gives every row's step
+    gaps (``_step_gaps``). Compose: per budget, the kept paths' highest
+    lower and lowest upper bound per feature. Rows go through in chunks of
+    about EXPLAIN_CHUNK_ELEMENTS elements of the (rows, trees, features)
+    boxes and the (rows, features, features) supports.
+    """
+    X, allowed_errors = forest._check_matrix(X), list(allowed_errors)
+    _check_min_support(min_support)
+    n, T, d, m = X.shape[0], forest.n_trees, forest.d, forest.m
+    values = np.empty((n, m))
+    out = [
+        RuleBatch(np.empty((n, T), bool), np.empty((n, d)), np.empty((n, d)), np.empty((n, d), bool), values,
+                  np.empty((n, m)))
+        for _ in allowed_errors
+    ]
+    boxes, pairs = forest.leaf_boxes, ~np.eye(d, dtype=bool)
+    low_bound, high_bound = forest.feature_bounds.T
+    chunk = max(1, EXPLAIN_CHUNK_ELEMENTS // (T * d + d * d))
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
+        x = X[rows]
+        leaves = np.ascontiguousarray(forest.walk(x).T)  # (B, T)
+        lo, hi = boxes.lo[boxes.row[leaves]], boxes.hi[boxes.row[leaves]]
+        used = (lo > -np.inf) | (hi < np.inf)
+        preds = forest.value[leaves]
+        values[rows] = preds.sum(axis=1) / T  # each row's (T, m) block totalled as predict and mean total it
+        counts = used.astype(np.float64)
+        support = np.matmul(counts.transpose(0, 2, 1), counts) / T
+        own = np.diagonal(support, axis1=1, axis2=2)
+        pair = (support >= min_support) & pairs
+        conf = np.divide(support, own[..., None], out=np.zeros_like(support), where=pair)
+        count = pair.sum(axis=2)
+        scores = np.where(count > 0, np.cumsum(conf, axis=2)[..., -1] / np.maximum(count, 1), own)
+        order = np.lexsort((scores, own == 0))  # stable, so ties stay in ascending feature order
+        step_of = np.empty_like(order)
+        np.put_along_axis(step_of, order, np.arange(1, d + 1)[None], axis=1)
+        entry = np.where(used, step_of[:, None, :], 0).max(axis=2, initial=0)
+        errors = _step_gaps(preds, forest, entry, d + 1).abs_shift / T  # (B, d + 1, m)
+        some_kept = np.arange(d + 1) >= entry.min(axis=1)[:, None]
+        for allowed, rules in zip(allowed_errors, out):
+            passes = allowed.passes(errors.reshape(-1, m)).reshape(errors.shape[:2]) & some_kept
+            step = passes.argmax(axis=1)  # the step with every feature in keeps every path and passes
+            kept = entry <= step[:, None]
+            rules.kept[rows] = kept
+            rules.errors[rows] = errors[np.arange(step.size), step]
+            rule_lo = np.where(kept[..., None], lo, -np.inf).max(axis=1)
+            rule_hi = np.where(kept[..., None], hi, np.inf).min(axis=1)
+            strict, bounded = np.isfinite(rule_lo), np.isfinite(rule_hi)
+            rule_lo = np.where(strict, rule_lo, low_bound)
+            rule_hi = np.where(bounded, rule_hi, high_bound)
+            rule_lo = np.where(x < rule_lo, x, rule_lo)
+            rule_hi = np.where(x > rule_hi, x, rule_hi)
+            named = strict | bounded  # the features some kept path tests
+            rules.lo[rows] = np.where(named, rule_lo, -np.inf)
+            rules.hi[rows] = np.where(named, rule_hi, np.inf)
+            rules.lo_open[rows] = strict
+    return out

@@ -8,6 +8,7 @@ from ruleforest import (
     ForestConfig,
     compose_rule,
     coverage,
+    explain,
     extract_paths,
     fit,
     make_synthetic,
@@ -20,6 +21,7 @@ from ruleforest import (
     scalability_bench,
     standardize_targets,
 )
+import ruleforest.evaluation as evaluation_module
 from ruleforest.dataset import kfold
 from ruleforest.evaluation import ExperimentRow, rule_precision_truth
 from ruleforest.reduction import Rule, RuleTerm
@@ -248,6 +250,21 @@ def test_bench_rows_and_monotone_kept():
     kept = [r.mean_kept_paths for r in rows]
     assert all(a >= b for a, b in zip(kept, kept[1:]))
     assert all(r.mean_time_seconds >= 0 for r in rows)
+
+
+def test_bench_builds_leaf_boxes_before_the_timed_explanations(monkeypatch):
+    # the leaf-box table is built once per forest; built inside the timed
+    # loop, it would land in the first budget's mean time
+    built = []
+
+    def spy(forest, x, allowed, **kwargs):
+        built.append("leaf_boxes" in vars(forest))
+        return explain(forest, x, allowed, **kwargs)
+
+    monkeypatch.setattr(evaluation_module, "explain", spy)
+    ds = make_synthetic(40, 3, 1, seed=1)
+    scalability_bench(ds, ForestConfig(n_estimators=3, seed=0), [0.1, 0.5], instances=2)
+    assert built == [True] * 4
 
 
 def test_bench_requires_ascending_budgets():

@@ -145,6 +145,31 @@ def test_save_load_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(back.feature_bounds, forest.feature_bounds)
 
 
+@pytest.mark.parametrize(
+    "shape, config",
+    [
+        ((80, 5, 2), ForestConfig(n_estimators=6, seed=4)),
+        ((50, 3, 1), ForestConfig(n_estimators=3, max_depth=2, bootstrap=False, max_features=0.5, seed=1)),
+        ((30, 2, 3), ForestConfig(n_estimators=1, min_samples_leaf=4, seed=2)),
+    ],
+    ids=["six_trees", "three_shallow_trees", "one_tree"],
+)
+def test_save_writes_json_of_the_v1_document(tmp_path, shape, config):
+    forest = fit(make_synthetic(*shape, seed=shape[0]), config)
+    document = {
+        "format": "ruleforest-model",
+        "version": 1,
+        "config": {field: getattr(config, field) for field in config.__dataclass_fields__},
+        "feature_names": list(forest.feature_names),
+        "target_names": list(forest.target_names),
+        "feature_bounds": forest.feature_bounds.tolist(),
+        "trees": [{field: getattr(tree, field).tolist() for field in Tree._fields} for tree in forest.trees],
+    }
+    path = tmp_path / "m.model"
+    save(forest, path)
+    assert path.read_bytes() == json.dumps(document).encode()
+
+
 def test_load_wrong_version(tmp_path):
     path = tmp_path / "bad.model"
     path.write_text(json.dumps({"format": "ruleforest-model", "version": 99}))

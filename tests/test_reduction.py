@@ -1,5 +1,6 @@
 import functools
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ from ruleforest import (
     render_rule,
 )
 import ruleforest.reduction as reduction_module
-from ruleforest.forest import LEAF
+from ruleforest.forest import LEAF, ModelError
 from ruleforest.paths import rank_features
-from ruleforest.reduction import MAX_PRECISION, Rule, RuleTerm, _step_gaps, explain
+from ruleforest.reduction import MAX_PRECISION, Rule, RuleTerm, _step_gaps, explain, explain_batch
 
 
 def formula_oracle(preds, mins, maxs, kept):
@@ -294,10 +295,12 @@ def assert_same_bits(got, want):
 
 
 def assert_step_gaps_exact(preds, leaf_min, leaf_max, entry, n_steps):
-    paths = SimpleNamespace(leaf_prediction=preds)
     forest = SimpleNamespace(leaf_min=leaf_min, leaf_max=leaf_max)
-    got = _step_gaps(paths, forest, entry, n_steps)
+    got = _step_gaps(preds, forest, entry, n_steps)
     assert_same_bits(got, reference_step_gaps(preds, leaf_min, leaf_max, entry, n_steps))
+    # as the middle instance of three, with its own bins, it totals the same
+    stacked = _step_gaps(np.stack([preds[::-1], preds, preds]), forest, np.stack([entry[::-1], entry, entry]), n_steps)
+    assert_same_bits([totals[1] for totals in stacked], got)
     # from the step every tree has entered on, nothing is excluded
     assert not got.abs_shift[entry.max() :].any()
     assert not np.signbit(got.abs_shift[entry.max() :]).any()
@@ -878,3 +881,100 @@ def test_explain_pipeline(rng):
     assert list(result.timings) == ["extract", "mine", "reduce", "compose"]
     assert min(result.timings.values()) >= 0
     assert sum(result.timings.values()) == pytest.approx(result.elapsed_seconds, rel=1e-9, abs=1e-12)
+
+
+# --- many instances in one batch ---------------------------------------------
+
+
+def assert_batch_equals_explain(forest, X, budgets, min_support, chunk_rows):
+    """explain_batch, in chunks of ``chunk_rows`` rows, equals explain row by
+    row, bit for bit, and its consequent values are predict_batch's."""
+    chunk = chunk_rows * (forest.n_trees * forest.d + forest.d * forest.d)
+    with mock.patch.object(reduction_module, "EXPLAIN_CHUNK_ELEMENTS", chunk):
+        batch = explain_batch(forest, X, budgets, min_support)
+    assert len(batch) == len(budgets)
+    for allowed, rules in zip(budgets, batch):
+        for b, x in enumerate(X):
+            result = explain(forest, x, allowed, min_support=min_support)
+            assert frozenset(np.flatnonzero(rules.kept[b]).tolist()) == result.reduction.kept
+            assert rules.errors[b].tobytes() == result.reduction.local_errors.tobytes()
+            box = result.rule.box(forest.d)
+            assert [a[b].tobytes() for a in (rules.lo, rules.hi, rules.lo_open)] == [a.tobytes() for a in box]
+            assert rules.values[b].tobytes() == np.asarray([v for _, v, _ in result.rule.consequent]).tobytes()
+            assert rules.lengths[b] == len(result.rule.antecedent)
+    assert batch[0].values.tobytes() == predict_batch(forest, X).tobytes()
+
+
+def batch_budgets(forest, x, rng):
+    """Global and per-target budgets, with one per step that some budget can
+    accept for ``x``, so that errors at a budget's edge are tested too."""
+    fixed = [AllowedError.global_mean(v) for v in (0.0, float(rng.uniform(0, 2)), 1e9)]
+    return fixed + [AllowedError.per_target(rng.uniform(0, 2, forest.m))] + trace_budgets(forest, x)[3]
+
+
+@functools.cache
+def fitted_one_target():
+    data = make_synthetic(120, 4, 1, seed=5)
+    return data, fit(data, ForestConfig(n_estimators=30, min_samples_leaf=3, seed=5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_trees=st.integers(min_value=1, max_value=25),
+    d=st.integers(min_value=1, max_value=5),
+    m=st.integers(min_value=1, max_value=3),
+    depth=st.integers(min_value=1, max_value=5),
+    min_support=st.sampled_from([0.05, 0.1, 0.5, 1.0]),
+    chunk_rows=st.integers(min_value=1, max_value=3),
+)
+def test_batch_equals_explain_on_random_forests(seed, n_trees, d, m, depth, min_support, chunk_rows):
+    rng = np.random.default_rng(seed)
+    forest = random_forest(rng, n_trees, d, m, depth)
+    # rows on split thresholds, inside and outside the [-10, 10] training bounds
+    X = np.vstack([instances_on_thresholds(forest, rng, 3), rng.uniform(-10, 10, (1, d)), rng.uniform(-30, 30, (2, d))])
+    assert_batch_equals_explain(forest, X, batch_budgets(forest, X[0], rng), min_support, chunk_rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    which=st.sampled_from(["three_targets", "one_target"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    min_support=st.sampled_from([0.05, 0.1, 0.5]),
+    chunk_rows=st.integers(min_value=1, max_value=4),
+)
+def test_batch_equals_explain_on_fitted_forests(which, seed, min_support, chunk_rows):
+    data, forest = fitted(1) if which == "three_targets" else fitted_one_target()
+    rng = np.random.default_rng(seed)
+    low, high = forest.feature_bounds.T
+    X = np.vstack([
+        data.features[rng.choice(data.n, 4, replace=False)],
+        instances_on_thresholds(forest, rng, 2),
+        low - rng.uniform(0.1, 3, (1, forest.d)),  # below the training bounds
+        high + rng.uniform(0.1, 3, (1, forest.d)),  # and above them
+    ])
+    assert_batch_equals_explain(forest, X, batch_budgets(forest, X[0], rng), min_support, chunk_rows)
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [("nan", ModelError), ("inf", ModelError), ("width", ModelError), ("support_zero", ValueError),
+     ("support_above_one", ValueError), ("budget_length", ValueError)],
+)
+def test_batch_raises_as_explain_does(fault, error):
+    data, forest = fitted(1)
+    X = data.features[:3].copy()
+    allowed, min_support = AllowedError.global_mean(0.3), 0.1
+    if fault in ("nan", "inf"):
+        X[1, 2] = np.nan if fault == "nan" else -np.inf
+    elif fault == "width":
+        X = np.hstack([X, X[:, :1]])
+    elif fault == "budget_length":
+        allowed = AllowedError.per_target([0.3] * (forest.m + 1))
+    else:
+        min_support = 0.0 if fault == "support_zero" else 1.5
+    with pytest.raises(ValueError) as per_row:
+        explain(forest, X[1], allowed, min_support=min_support)
+    with pytest.raises(ValueError) as batched:
+        explain_batch(forest, X, [AllowedError.global_mean(1.0), allowed], min_support)
+    assert per_row.type is batched.type is error
