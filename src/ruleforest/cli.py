@@ -209,14 +209,7 @@ def cmd_explain(args) -> int:
     else:
         raise UsageError("provide --allowed-error, or --data/--targets to derive the CV default")
 
-    result = explain(
-        forest,
-        x,
-        allowed,
-        min_support=args.min_support,
-        rank_order={"asc": "ascending", "desc": "descending"}[args.rank_order],
-        precision=args.precision,
-    )
+    result = explain(forest, x, allowed, min_support=args.min_support, precision=args.precision)
     print(_effective_config("explain", args))
     print(result.rendered)
     trace = result.reduction.trace
@@ -358,7 +351,6 @@ def build_parser() -> _Parser:
     p.add_argument("--allowed-error", type=_budgets, help="one value (global) or one per target")
     p.add_argument("--scheme", choices=["global", "per-target"])
     p.add_argument("--min-support", type=_fraction, default=0.1)
-    p.add_argument("--rank-order", choices=["asc", "desc"], default="asc")
     p.add_argument("--precision", type=_precision, default=2, help=f"decimals in the rule, at most {MAX_PRECISION}")
     p.add_argument(
         "--check-conclusive",

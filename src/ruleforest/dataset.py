@@ -93,7 +93,7 @@ def load_csv(path, target_columns, missing_policy: str = "zero_fill") -> Dataset
     treated as missing and handled per ``missing_policy``: filled with 0.0
     (``zero_fill``), the whole row dropped (``drop_row``), or rejected
     (``error``). Non-numeric cells are always rejected: categorical columns
-    are unsupported.
+    are unsupported, and so is a header that names one column twice.
     """
     if missing_policy not in MISSING_POLICIES:
         raise DatasetError(f"unknown missing policy {missing_policy!r}")
@@ -106,6 +106,9 @@ def load_csv(path, target_columns, missing_policy: str = "zero_fill") -> Dataset
             raise DatasetError(f"{path}: empty file") from None
         raw_rows = [row for row in reader if row]
     header = [name.strip() for name in header]
+    if len(set(header)) < len(header):
+        repeated = next(name for i, name in enumerate(header) if name in header[:i])
+        raise DatasetError(f"{path}: column {repeated!r} appears more than once in the header")
     for name in target_columns:
         if name not in header:
             raise DatasetError(f"unknown target column {name!r}")

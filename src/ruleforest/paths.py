@@ -2,13 +2,11 @@
 
 ``extract_paths`` returns every tree's path in one ``Paths``: (trees,
 features) arrays of interval bounds and feature use, plus each tree's leaf.
-A path's bounds depend only on its leaf, so extraction is one walk to the
-leaves and two row gathers from the forest's leaf boxes. Mining, reduction
-and rule composition read the arrays; indexing a ``Paths`` builds a ``Path``
-view. The paths' feature sets act as transactions: ``mine`` gives the
-pairwise supports, rule confidences and per-feature scores as arrays over
-the features the paths test, and the scores order the enrichment loop of
-the reduction step.
+Indexing a ``Paths`` builds a ``Path`` view. The paths' feature sets act as
+transactions: ``mine`` scores each feature by its pairwise confidences, and
+``rank_features`` orders the reduction's enrichment lowest score first. The
+array work is in ``_leaf_paths`` and ``_pair_scores``, which take leading
+instance axes, so ``explain_batch`` shares it.
 """
 
 from __future__ import annotations
@@ -74,19 +72,23 @@ class AssociationModel:
     feature_scores: np.ndarray  # (k,) score of features[j]
 
 
-def extract_paths(forest: Forest, x) -> Paths:
-    """Every tree's path for instance x: one walk finds its leaves, and the
-    forest's leaf boxes (``Forest.leaf_boxes``, built on the first call)
-    give each path's bounds, so ``lo``/``hi`` equal the thresholds the walk
-    passes, tightened along the path."""
-    x = forest._check_vector(x)
-    leaves = forest.walk(x[None, :])[:, 0]
+def _leaf_paths(forest: Forest, X: np.ndarray):
+    """The leaves (B, T) of rows ``X`` (B, d) in every tree, and their paths'
+    ``lo``, ``hi`` and ``used`` (B, T, d). A path's bounds depend only on its
+    leaf: they are rows of ``Forest.leaf_boxes``, built on the first call."""
+    leaves = forest.walk(X).T
     boxes = forest.leaf_boxes
-    rows = boxes.row[leaves]
+    rows = boxes.row.take(leaves)
     lo, hi = boxes.lo.take(rows, axis=0), boxes.hi.take(rows, axis=0)
     # thresholds are finite, so a bound is finite exactly where the path tests the feature
-    used = (lo > -np.inf) | (hi < np.inf)
-    return Paths(lo, hi, used, leaves - forest.roots, forest.value.take(leaves, axis=0))
+    return leaves, lo, hi, (lo > -np.inf) | (hi < np.inf)
+
+
+def extract_paths(forest: Forest, x) -> Paths:
+    """Every tree's path for instance x: ``_leaf_paths`` of its one row."""
+    x = forest._check_vector(x)
+    leaves, lo, hi, used = _leaf_paths(forest, x[None, :])
+    return Paths(lo[0], hi[0], used[0], leaves[0] - forest.roots, forest.value.take(leaves[0], axis=0))
 
 
 def _check_min_support(min_support: float) -> None:
@@ -110,20 +112,25 @@ def mine(paths: Paths, min_support: float = 0.1) -> AssociationModel:
     features = np.flatnonzero(paths.used.any(axis=0))
     if not features.size:
         return AssociationModel(features, np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0))
-    used = paths.used[:, features].astype(np.float64)
-    support = (used.T @ used) / len(paths)  # [j, k]: share of paths using both
-    own = np.diag(support)
-    pair = (support >= min_support) & ~np.eye(features.size, dtype=bool)
-    conf = np.where(pair, support / own[:, None], 0.0)
-    count = pair.sum(axis=1)
+    return AssociationModel(features, *_pair_scores(paths.used[:, features], min_support))
+
+
+def _pair_scores(used: np.ndarray, min_support: float):
+    """Support (..., k, k), confidence (..., k, k) and scores (..., k) of the
+    features on the last axis of ``used`` (..., T, k), as ``mine`` defines
+    them. A feature no path tests has support 0 and pairs with nothing."""
+    counts = used.astype(np.float64)
+    support = np.matmul(np.swapaxes(counts, -1, -2), counts) / used.shape[-2]  # share of paths using both
+    own = np.diagonal(support, axis1=-2, axis2=-1)
+    pair = (support >= min_support) & ~np.eye(used.shape[-1], dtype=bool)
+    conf = np.divide(support, own[..., None], out=np.zeros_like(support), where=pair)
+    count = pair.sum(axis=-1)
     # cumsum adds in ascending partner order (sum adds pairwise): last bits decide ranking ties
-    scores = np.where(count > 0, np.cumsum(conf, axis=1)[:, -1] / np.maximum(count, 1), own)
-    return AssociationModel(features, support, conf, scores)
+    scores = np.where(count > 0, np.cumsum(conf, axis=-1)[..., -1] / np.maximum(count, 1), own)
+    return support, conf, scores
 
 
-def rank_features(model: AssociationModel, order: str = "ascending") -> list[int]:
-    """``model.features`` sorted by score, ties on ascending index, as ints."""
-    if order not in ("ascending", "descending"):
-        raise ValueError(f"unknown rank order {order!r}")
-    sign = 1.0 if order == "ascending" else -1.0
-    return model.features[np.lexsort((model.features, sign * model.feature_scores))].tolist()
+def rank_features(model: AssociationModel) -> list[int]:
+    """``model.features`` sorted by score, lowest first, ties on ascending
+    index, as ints."""
+    return model.features[np.lexsort((model.features, model.feature_scores))].tolist()

@@ -9,9 +9,8 @@ adjusted prediction, and the local error equals
 ``|adjusted − prediction|``. Every step's kept count and local errors come
 from one pass, and the result keeps them as its ``trace``.
 
-``explain_batch`` runs the same stages for many instances at once, on
-arrays with a leading instance axis, and gives each instance the rule
-``explain`` gives it, as arrays rather than ``Rule`` objects.
+``explain_batch`` gives many instances ``explain``'s rules as arrays: both
+run the same stage kernels, which take leading instance axes.
 
 ``check_conclusive`` certifies a rule exactly, with no sampling: it walks the
 rule's region, a box, down the packed forest once and bounds every tree by
@@ -21,6 +20,7 @@ prediction over the whole region. ``explain`` does not run it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import Dataset, kfold
 from .forest import Forest, ForestConfig, fit, predict, predict_batch
-from .paths import AssociationModel, Paths, _check_min_support, rank_features
+from .paths import AssociationModel, Paths, _check_min_support, _leaf_paths, _pair_scores, rank_features
 
 MAX_PRECISION = 1074  # a float64's fixed-point expansion ends within 1074 fractional digits
 EXPLAIN_CHUNK_ELEMENTS = 1 << 16  # (row, tree, feature) plus (row, feature, feature) elements per explain_batch step
@@ -101,6 +101,12 @@ class ReductionResult:
     trace: ReductionTrace
 
 
+def _in_box(X, lo, hi, lo_open) -> np.ndarray:
+    """Whether each value of ``X`` lies in its feature's interval of the box
+    ``(lo, hi, lo_open)`` in ``Rule.box`` form."""
+    return np.where(lo_open, X > lo, X >= lo) & (X <= hi)
+
+
 @dataclass(frozen=True)
 class RuleTerm:
     feature_index: int
@@ -136,8 +142,7 @@ class Rule:
         """Whether each value of ``X`` (shape (..., d)) lies in the rule's
         interval on its feature; a row is covered when all of its values do."""
         X = np.asarray(X, dtype=np.float64)
-        lo, hi, lo_open = self.box(X.shape[-1])
-        return np.where(lo_open, X > lo, X >= lo) & (X <= hi)
+        return _in_box(X, *self.box(X.shape[-1]))
 
 
 @dataclass
@@ -213,7 +218,6 @@ def reduce_paths(
     assoc: AssociationModel,
     allowed: AllowedError,
     forest: Forest,
-    rank_order: str = "ascending",
 ) -> ReductionResult:
     """Enrich the feature set one feature at a time until the kept paths meet
     the budget.
@@ -226,18 +230,14 @@ def reduce_paths(
     yields every step's kept set and local error.
     """
     n = len(paths)
-    ranking = rank_features(assoc, rank_order)
+    ranking = rank_features(assoc)
     n_steps = len(ranking) + 1  # step k tests the first k ranked features
     step_of = np.full(paths.used.shape[1], n_steps)
     step_of[ranking] = np.arange(1, n_steps)
     entry = np.where(paths.used, step_of, 0).max(axis=1, initial=0)
     gaps = _step_gaps(paths.leaf_prediction, forest, entry, n_steps)
     errors = gaps.abs_shift / n
-    passes = allowed.passes(errors)
-    passes[: entry.min()] = False  # no path is kept yet
-    step = int(passes.argmax())
-    if not passes[step]:  # unreachable: the full feature set keeps every path
-        raise RuntimeError("reduction ended without an accepted kept set")
+    step = int(_accepted_step(allowed, errors, entry))
     kept = entry <= step
     kept_counts = np.cumsum(np.bincount(entry, minlength=n_steps + 1)[:n_steps])
     original = paths.leaf_prediction.mean(axis=0)
@@ -251,6 +251,17 @@ def reduce_paths(
         envelope=(original - gaps.low[step] / n, original + gaps.high[step] / n),
         trace=ReductionTrace(ranking, kept_counts, errors, step),
     )
+
+
+def _accepted_step(allowed: AllowedError, errors: np.ndarray, entry: np.ndarray) -> np.ndarray:
+    """The first step whose local errors ``errors`` (..., steps, m) meet the
+    budget and that keeps a path (path i from step ``entry[..., i]`` on), per
+    leading index."""
+    passes = allowed.passes(errors.reshape(-1, errors.shape[-1])).reshape(errors.shape[:-1])
+    passes &= np.arange(passes.shape[-1]) >= entry.min(axis=-1, keepdims=True)
+    if not passes.any(axis=-1).all():  # unreachable: the full feature set keeps every path
+        raise RuntimeError("reduction ended without an accepted kept set")
+    return passes.argmax(axis=-1)
 
 
 def default_allowed_error(dataset: Dataset, config: ForestConfig, k: int = 10) -> AllowedError:
@@ -272,30 +283,41 @@ def compose_rule(reduction: ReductionResult, paths: Paths, x, forest: Forest) ->
 
     Using the tightest bounds on each side keeps every kept tree routed to
     the same leaf for any instance the rule covers. Sides no kept path
-    bounds fall back to the training-data feature bounds.
+    bounds fall back to the training-data feature bounds, and every bound
+    widens to hold x.
     """
     x = forest._check_vector(x)
-    rows = np.zeros(len(paths), dtype=bool)
-    rows[np.fromiter(reduction.kept, np.intp, len(reduction.kept))] = True
-    lo = paths.lo.compress(rows, axis=0).max(axis=0, initial=-np.inf)
-    hi = paths.hi.compress(rows, axis=0).min(axis=0, initial=np.inf)
-    lo_strict = np.isfinite(lo)
-    lo = np.where(lo_strict, lo, forest.feature_bounds[:, 0])
-    hi = np.where(np.isfinite(hi), hi, forest.feature_bounds[:, 1])
+    kept = np.zeros(len(paths), dtype=bool)
+    kept[np.fromiter(reduction.kept, np.intp, len(reduction.kept))] = True
+    lo, hi, lo_open = _rule_bounds(paths.lo, paths.hi, kept, x, forest)
+    f = np.flatnonzero(np.isfinite(lo))
+    terms = [RuleTerm(*term) for term in zip(f.tolist(), lo[f].tolist(), hi[f].tolist(), lo_open[f].tolist())]
+    consequent = list(zip(range(forest.m), reduction.original_prediction.tolist(), reduction.local_errors.tolist()))
+    return Rule(antecedent=terms, consequent=consequent, kept_path_count=len(reduction.kept))
+
+
+def _rule_bounds(lo, hi, kept, x, forest: Forest):
+    """``compose_rule``'s box, in ``Rule.box`` form, for instances ``x``
+    (..., d): ``kept`` (..., T) marks the kept paths of ``lo``/``hi`` (..., T, d)."""
+    lo = np.where(kept[..., None], lo, -np.inf).max(axis=-2)
+    hi = np.where(kept[..., None], hi, np.inf).min(axis=-2)
+    strict, bounded = np.isfinite(lo), np.isfinite(hi)
+    low, high = forest.feature_bounds.T
+    lo = np.where(strict, lo, low)
+    hi = np.where(bounded, hi, high)
     # instances outside the training range must still satisfy their own rule
     lo = np.where(x < lo, x, lo)
     hi = np.where(x > hi, x, hi)
-    f = np.flatnonzero(paths.used.compress(rows, axis=0).any(axis=0))
-    terms = [RuleTerm(*term) for term in zip(f.tolist(), lo[f].tolist(), hi[f].tolist(), lo_strict[f].tolist())]
-    consequent = list(zip(range(forest.m), reduction.original_prediction.tolist(), reduction.local_errors.tolist()))
-    return Rule(antecedent=terms, consequent=consequent, kept_path_count=len(reduction.kept))
+    named = strict | bounded
+    return np.where(named, lo, -np.inf), np.where(named, hi, np.inf), strict
 
 
 def render_rule(rule: Rule, feature_names, target_names, precision: int = 2) -> str:
     """One-line text form: ``if lo <= name <= hi & ... then target: v±b, ...``.
 
     Strict lower bounds are displayed closed by nudging them up one step at
-    the requested precision, which must be in [0, MAX_PRECISION].
+    the requested precision, which must be in [0, MAX_PRECISION], and at
+    least as far as the displayed value reads back above the bound.
     """
     if not 0 <= precision <= MAX_PRECISION:
         raise ValueError(f"precision must be in [0, {MAX_PRECISION}], got {precision}")
@@ -304,10 +326,17 @@ def render_rule(rule: Rule, feature_names, target_names, precision: int = 2) -> 
     def num(v: float) -> str:
         return f"{v:.{precision}f}"
 
+    def closed(lo: float) -> str:
+        # a step under half an ulp of lo adds nothing, and one near an ulp can print back onto lo
+        up = max(lo + step, math.nextafter(lo, math.inf))
+        while float(text := num(up)) <= lo:
+            up = math.nextafter(up, math.inf)
+        return text
+
     parts = []
     for term in rule.antecedent:
-        lo = term.lo + step if term.lo_strict else term.lo
-        parts.append(f"{num(lo)} <= {feature_names[term.feature_index]} <= {num(term.hi)}")
+        lo = closed(term.lo) if term.lo_strict else num(term.lo)
+        parts.append(f"{lo} <= {feature_names[term.feature_index]} <= {num(term.hi)}")
     consequents = ", ".join(
         f"{target_names[t]}: {num(v)}±{num(b)}" for t, v, b in rule.consequent
     )
@@ -391,7 +420,6 @@ def explain(
     x,
     allowed: AllowedError,
     min_support: float = 0.1,
-    rank_order: str = "ascending",
     precision: int = 2,
 ) -> Explanation:
     """Full pipeline for one instance: extract, mine, reduce, compose."""
@@ -403,7 +431,7 @@ def explain(
     clock.append(time.perf_counter())
     assoc = mine(paths, min_support)
     clock.append(time.perf_counter())
-    reduction = reduce_paths(paths, assoc, allowed, forest, rank_order)
+    reduction = reduce_paths(paths, assoc, allowed, forest)
     clock.append(time.perf_counter())
     rule = compose_rule(reduction, paths, x, forest)
     clock.append(time.perf_counter())
@@ -435,27 +463,17 @@ class RuleBatch(NamedTuple):
         """(B, n) whether each rule's box holds each row of ``X``, as
         ``Rule.contains(X).all(axis=1)`` tests it."""
         X = np.asarray(X, dtype=np.float64)[None]
-        lo, hi, lo_open = self.lo[:, None], self.hi[:, None], self.lo_open[:, None]
-        return (np.where(lo_open, X > lo, X >= lo) & (X <= hi)).all(axis=2)
+        return _in_box(X, self.lo[:, None], self.hi[:, None], self.lo_open[:, None]).all(axis=2)
 
 
 def explain_batch(forest: Forest, X, allowed_errors, min_support: float = 0.1) -> list[RuleBatch]:
     """``explain`` for every row of ``X`` at every budget of ``allowed_errors``,
-    in ascending rank order, as one ``RuleBatch`` per budget. Row b equals
-    ``explain(forest, X[b], allowed, min_support)`` bit for bit: kept paths,
-    box, consequent values and local errors.
-
-    Each stage runs on (rows, trees, features) arrays. Extract: one walk of
-    the rows and row gathers from ``leaf_boxes``. Mine: the supports of all
-    features from one batched ``used.T @ used``; a feature no path of a row
-    tests has support 0, pairs with nothing and adds only +0.0 to a
-    confidence sum, so every other feature scores as in ``mine``. Rank and
-    reduce: a stable sort per row on the scores, with such features last,
-    gives each feature's step, and one ``bincount`` gives every row's step
-    gaps (``_step_gaps``). Compose: per budget, the kept paths' highest
-    lower and lowest upper bound per feature. Rows go through in chunks of
-    about EXPLAIN_CHUNK_ELEMENTS elements of the (rows, trees, features)
-    boxes and the (rows, features, features) supports.
+    as one ``RuleBatch`` per budget; row b equals
+    ``explain(forest, X[b], allowed, min_support)`` bit for bit. It runs
+    ``explain``'s stage kernels on a leading row axis and ranks the features
+    no path of a row tests last, where they keep no new path. Rows go through
+    in chunks of about EXPLAIN_CHUNK_ELEMENTS elements of the (rows, trees,
+    features) boxes and the (rows, features, features) supports.
     """
     X, allowed_errors = forest._check_matrix(X), list(allowed_errors)
     _check_min_support(min_support)
@@ -466,45 +484,22 @@ def explain_batch(forest: Forest, X, allowed_errors, min_support: float = 0.1) -
                   np.empty((n, m)))
         for _ in allowed_errors
     ]
-    boxes, pairs = forest.leaf_boxes, ~np.eye(d, dtype=bool)
-    low_bound, high_bound = forest.feature_bounds.T
     chunk = max(1, EXPLAIN_CHUNK_ELEMENTS // (T * d + d * d))
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
         x = X[rows]
-        leaves = np.ascontiguousarray(forest.walk(x).T)  # (B, T)
-        lo, hi = boxes.lo[boxes.row[leaves]], boxes.hi[boxes.row[leaves]]
-        used = (lo > -np.inf) | (hi < np.inf)
-        preds = forest.value[leaves]
+        leaves, lo, hi, used = _leaf_paths(forest, x)
+        preds = forest.value.take(leaves, axis=0)
         values[rows] = preds.sum(axis=1) / T  # each row's (T, m) block totalled as predict and mean total it
-        counts = used.astype(np.float64)
-        support = np.matmul(counts.transpose(0, 2, 1), counts) / T
-        own = np.diagonal(support, axis1=1, axis2=2)
-        pair = (support >= min_support) & pairs
-        conf = np.divide(support, own[..., None], out=np.zeros_like(support), where=pair)
-        count = pair.sum(axis=2)
-        scores = np.where(count > 0, np.cumsum(conf, axis=2)[..., -1] / np.maximum(count, 1), own)
-        order = np.lexsort((scores, own == 0))  # stable, so ties stay in ascending feature order
-        step_of = np.empty_like(order)
-        np.put_along_axis(step_of, order, np.arange(1, d + 1)[None], axis=1)
+        scores = _pair_scores(used, min_support)[2]
+        order = np.lexsort((scores, ~used.any(axis=1)))  # stable, so ties stay in ascending feature order
+        step_of = order.argsort(axis=1) + 1
         entry = np.where(used, step_of[:, None, :], 0).max(axis=2, initial=0)
         errors = _step_gaps(preds, forest, entry, d + 1).abs_shift / T  # (B, d + 1, m)
-        some_kept = np.arange(d + 1) >= entry.min(axis=1)[:, None]
         for allowed, rules in zip(allowed_errors, out):
-            passes = allowed.passes(errors.reshape(-1, m)).reshape(errors.shape[:2]) & some_kept
-            step = passes.argmax(axis=1)  # the step with every feature in keeps every path and passes
+            step = _accepted_step(allowed, errors, entry)
             kept = entry <= step[:, None]
             rules.kept[rows] = kept
             rules.errors[rows] = errors[np.arange(step.size), step]
-            rule_lo = np.where(kept[..., None], lo, -np.inf).max(axis=1)
-            rule_hi = np.where(kept[..., None], hi, np.inf).min(axis=1)
-            strict, bounded = np.isfinite(rule_lo), np.isfinite(rule_hi)
-            rule_lo = np.where(strict, rule_lo, low_bound)
-            rule_hi = np.where(bounded, rule_hi, high_bound)
-            rule_lo = np.where(x < rule_lo, x, rule_lo)
-            rule_hi = np.where(x > rule_hi, x, rule_hi)
-            named = strict | bounded  # the features some kept path tests
-            rules.lo[rows] = np.where(named, rule_lo, -np.inf)
-            rules.hi[rows] = np.where(named, rule_hi, np.inf)
-            rules.lo_open[rows] = strict
+            rules.lo[rows], rules.hi[rows], rules.lo_open[rows] = _rule_bounds(lo, hi, kept, x, forest)
     return out

@@ -262,8 +262,10 @@ def test_inspect_mixed_depths(capsys, tmp_path):
         ["explain", "--check-conclusive", "-5"],
         ["explain", "--check-conclusive", "0"],
         ["bench", "--instances", "0"],
+        ["explain", "--rank-order", "asc"],  # removed: features rank lowest score first
     ],
-    ids=["precision_negative", "check_conclusive_negative", "check_conclusive_zero", "bench_instances_zero"],
+    ids=["precision_negative", "check_conclusive_negative", "check_conclusive_zero", "bench_instances_zero",
+         "rank_order_removed"],
 )
 def test_out_of_range_flag_is_usage_error(workspace, capsys, flags):
     _, _, model = workspace
@@ -351,6 +353,14 @@ def test_missing_model_is_data_error(capsys, tmp_path):
     code, _, err = run(capsys, ["inspect", "--model", str(tmp_path / "nope.model")])
     assert code == 2
     assert "error:" in err
+
+
+def test_csv_with_a_repeated_column_is_data_error(capsys, tmp_path):
+    data = tmp_path / "repeated.csv"
+    data.write_text("a,b,a\n1,2,3\n4,5,6\n7,8,9\n")
+    code, out, err = run(capsys, ["train", "--data", str(data), "--targets", "a", "--out", str(tmp_path / "m.model")])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "'a' appears more than once" in err
 
 
 def test_model_with_root_cycle_is_data_error(workspace, capsys, tmp_path):

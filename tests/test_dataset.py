@@ -93,6 +93,13 @@ def test_roundtrip_exact(tmp_path, rng):
     np.testing.assert_array_equal(back.targets, ds.targets)
 
 
+@pytest.mark.parametrize("targets", [["a"], ["t"]])
+def test_repeated_header_name_rejected(tmp_path, targets):
+    path = write(tmp_path, "a,b,a,t\n1,2,3,4\n5,6,7,8\n")
+    with pytest.raises(DatasetError, match="column 'a' appears more than once"):
+        load_csv(path, targets)
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(DatasetError, match="duplicate"):
         Dataset(np.ones((2, 2)), np.ones((2, 1)), ("a", "a"), ("t",))

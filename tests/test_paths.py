@@ -459,18 +459,13 @@ def test_rank_ascending():
     assert rank_features(scored({0: 0.9, 1: 0.4, 2: 0.4})) == [1, 2, 0]
 
 
-def test_rank_descending():
-    assert rank_features(scored({0: 0.9, 1: 0.4, 2: 0.4}), "descending") == [0, 1, 2]
-
-
 def test_rank_all_equal_is_index_order():
     assert rank_features(scored({2: 0.5, 0: 0.5, 1: 0.5})) == [0, 1, 2]
 
 
-def reference_rank(scores, order):
-    """Oracle: a Python sort of a scores dict by (signed score, feature)."""
-    sign = 1.0 if order == "ascending" else -1.0
-    return sorted(scores, key=lambda f: (sign * scores[f], f))
+def reference_rank(scores):
+    """Oracle: a Python sort of a scores dict by (score, feature)."""
+    return sorted(scores, key=lambda f: (scores[f], f))
 
 
 def tied_transactions(rng):
@@ -498,8 +493,7 @@ def test_scores_and_ranking_equal_the_reference(kind, seed, support_count):
         _, _, scores = reference_mine(paths, min_support)
         assert model.features.tolist() == list(scores)
         assert model.feature_scores.tolist() == list(scores.values())
-        for order in ("ascending", "descending"):
-            assert rank_features(model, order) == reference_rank(scores, order)
+        assert rank_features(model) == reference_rank(scores)
 
 
 def test_rank_is_permutation(rng):

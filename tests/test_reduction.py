@@ -219,7 +219,7 @@ def test_reduction_result_invariants(rng):
         assert paths[i].feature_set <= reduction.feature_set
 
 
-def loop_oracle(paths, assoc, allowed, forest, rank_order):
+def loop_oracle(paths, assoc, allowed, forest):
     """Reference reduction: re-test the kept set and substitute the excluded
     trees at every enrichment step, then bound the forest with the kept trees'
     predictions plus the excluded trees' leaf extremes."""
@@ -238,7 +238,7 @@ def loop_oracle(paths, assoc, allowed, forest, rank_order):
         return r_preds
 
     feature_set = set()
-    for f in [None] + rank_features(assoc, rank_order):
+    for f in [None] + rank_features(assoc):
         if f is not None:
             feature_set.add(f)
         kept = frozenset(i for i in range(n) if paths[i].feature_set <= feature_set)
@@ -254,8 +254,7 @@ def loop_oracle(paths, assoc, allowed, forest, rank_order):
     return kept, frozenset(feature_set), errors, substituted(kept).mean(axis=0), envelope
 
 
-@pytest.mark.parametrize("rank_order", ["ascending", "descending"])
-def test_single_pass_matches_loop_oracle(rng, rank_order):
+def test_single_pass_matches_loop_oracle(rng):
     for _ in range(15):
         m = int(rng.integers(1, 4))
         forest, _, paths = forest_and_paths(rng, n_trees=int(rng.integers(2, 12)), d=4, m=m, depth=4)
@@ -263,8 +262,8 @@ def test_single_pass_matches_loop_oracle(rng, rank_order):
         budgets = [AllowedError.global_mean(v) for v in (0.0, float(rng.uniform(0, 2)), 1e18)]
         budgets += [AllowedError.per_target(v) for v in (np.zeros(m), rng.uniform(0, 2, m), np.full(m, 1e18))]
         for allowed in budgets:
-            got = reduce_paths(paths, assoc, allowed, forest, rank_order)
-            kept, feature_set, errors, adjusted, envelope = loop_oracle(paths, assoc, allowed, forest, rank_order)
+            got = reduce_paths(paths, assoc, allowed, forest)
+            kept, feature_set, errors, adjusted, envelope = loop_oracle(paths, assoc, allowed, forest)
             assert got.kept == kept
             assert got.feature_set == feature_set
             np.testing.assert_allclose(got.local_errors, errors, rtol=0, atol=1e-12)
@@ -510,14 +509,13 @@ def test_array_stages_equal_reference_stages(seed, n_trees, d, depth, support_co
         assert supports == want_supports
         assert rules == want_rules
         assert scores == want_scores
-        for rank_order in ("ascending", "descending"):
-            for budget in (0.0, float(rng.uniform(0.1, 2.0)), 1e18):
-                reduction = reduce_paths(paths, assoc, AllowedError.global_mean(budget), forest, rank_order)
-                rule = compose_rule(reduction, paths, x, forest)
-                expected = reference_compose_rule(reduction, paths, x, forest)
-                assert rule.antecedent == expected.antecedent
-                assert rule.consequent == expected.consequent
-                assert rule.kept_path_count == expected.kept_path_count
+        for budget in (0.0, float(rng.uniform(0.1, 2.0)), 1e18):
+            reduction = reduce_paths(paths, assoc, AllowedError.global_mean(budget), forest)
+            rule = compose_rule(reduction, paths, x, forest)
+            expected = reference_compose_rule(reduction, paths, x, forest)
+            assert rule.antecedent == expected.antecedent
+            assert rule.consequent == expected.consequent
+            assert rule.kept_path_count == expected.kept_path_count
 
 
 # --- rendering ---------------------------------------------------------------
@@ -535,6 +533,17 @@ def test_render_single_term():
 def test_render_nudges_strict_lower_bound():
     rule = Rule([RuleTerm(0, 2.0, 5.0, True)], [(0, 1.0, 0.5)], 1)
     assert render_rule(rule, ["f0"], ["t0"], precision=1) == "if 2.1 <= f0 <= 5.0 then t0: 1.0±0.5"
+
+
+@pytest.mark.parametrize(
+    "lo, precision",
+    # a step under half an ulp of lo; then a step near one ulp, which prints back onto lo
+    [(2.0, 16), (2.0, 17), (2.0, 400), (1e17, 2), (-1e17, 2), (0.04650635754578079, 17), (-57103993.72241426, 8)],
+)
+def test_render_strict_lower_bound_reads_back_above_it(lo, precision):
+    rule = Rule([RuleTerm(0, lo, 2e17, True)], [(0, 1.0, 0.5)], 1)
+    shown = render_rule(rule, ["f0"], ["t0"], precision=precision).split()[1]
+    assert float(shown) > lo
 
 
 def test_render_empty_antecedent():
@@ -954,6 +963,16 @@ def test_batch_equals_explain_on_fitted_forests(which, seed, min_support, chunk_
         high + rng.uniform(0.1, 3, (1, forest.d)),  # and above them
     ])
     assert_batch_equals_explain(forest, X, batch_budgets(forest, X[0], rng), min_support, chunk_rows)
+
+
+def test_no_accepted_step_raises_in_explain_and_batch(monkeypatch):
+    data, forest = fitted(1)
+    monkeypatch.setattr(AllowedError, "passes", lambda self, errors: np.zeros(len(errors), dtype=bool))
+    allowed = AllowedError.global_mean(1.0)
+    with pytest.raises(RuntimeError, match="without an accepted kept set"):
+        explain(forest, data.features[0], allowed)
+    with pytest.raises(RuntimeError, match="without an accepted kept set"):
+        explain_batch(forest, data.features[:3], [allowed])
 
 
 @pytest.mark.parametrize(
