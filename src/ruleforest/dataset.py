@@ -93,7 +93,8 @@ def load_csv(path, target_columns, missing_policy: str = "zero_fill") -> Dataset
     treated as missing and handled per ``missing_policy``: filled with 0.0
     (``zero_fill``), the whole row dropped (``drop_row``), or rejected
     (``error``). Non-numeric cells are always rejected: categorical columns
-    are unsupported, and so is a header that names one column twice.
+    are unsupported, and so is a header that leaves a column's name blank
+    or names one column twice.
     """
     if missing_policy not in MISSING_POLICIES:
         raise DatasetError(f"unknown missing policy {missing_policy!r}")
@@ -106,6 +107,8 @@ def load_csv(path, target_columns, missing_policy: str = "zero_fill") -> Dataset
             raise DatasetError(f"{path}: empty file") from None
         raw_rows = [row for row in reader if row]
     header = [name.strip() for name in header]
+    if "" in header:
+        raise DatasetError(f"{path}: column {header.index('') + 1} has a blank name in the header")
     if len(set(header)) < len(header):
         repeated = next(name for i, name in enumerate(header) if name in header[:i])
         raise DatasetError(f"{path}: column {repeated!r} appears more than once in the header")

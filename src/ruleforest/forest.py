@@ -27,17 +27,29 @@ feature bounds of numbers, one tree per ``config.n_estimators``, node arrays
 of the shape, element kind and dtype the node schema ``_TREE_ARRAYS`` gives
 (shape first, kind second, cast last), features in range, children after
 their parent inside the same tree, finite numbers. So the walk ends on every
-forest that can be built. ``load`` adds only what parsing JSON needs: no
-bool or string where numbers belong, since numpy reads ``[1, true]`` as
-``[1, 1]``.
+forest that can be built.
+
+``save`` writes model format v2: a zip of stored members, ``header.json``
+(format, version, config, names, bounds), one ``.npy`` per node array of
+``_TREE_ARRAYS`` holding the packed array, and ``node_counts.npy``. ``load``
+reads v2, and v1 (one JSON document of per-tree node lists), telling them
+apart by the first bytes. It adds only what reading the file needs: for
+v1, no bool or string where numbers belong, since numpy reads ``[1, true]``
+as ``[1, 1]``; for v2, exactly the expected members, uncompressed, arrays
+read with ``allow_pickle=False`` whose headers declare the data their
+members hold, and node counts that split the packed arrays into trees.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
+import math
 import numbers
+import os
+import zipfile
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -45,7 +57,10 @@ from typing import NamedTuple
 import numpy as np
 
 MODEL_FORMAT = "ruleforest-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # the version save writes; load reads it and version 1
+_ZIP_MAGIC = b"PK\x03\x04"  # the first bytes of a v2 file
+_HEADER = "header.json"  # the v2 member that holds what v1 holds besides its trees
+_NODE_COUNTS = "node_counts"  # the v2 array of each tree's node count
 
 LEAF = -1  # sentinel in the per-node feature array
 WALK_CHUNK_ELEMENTS = 8192  # (tree, row) pairs per predict_batch step
@@ -97,7 +112,7 @@ class ForestConfig:
 
 
 # The node schema, which ``Forest`` applies to every tree and ``save`` writes
-# as one v1 JSON object per tree, in this order. Per array: what its elements
+# as one v2 ``.npy`` member per array, in this order. Per array: what its elements
 # may be ("integers" or "numbers", as numpy kinds), the dtype it is cast to,
 # and whether it has one column per target, shape (n, m), rather than (n,).
 _HOLDS = {"integers": "i", "numbers": "if"}
@@ -492,10 +507,16 @@ def evaluate_mae(forest: Forest, data) -> tuple[np.ndarray, float]:
 
 
 def save(forest: Forest, path) -> None:
-    """Write the v1 JSON document: the header fields, then ``trees``, one
-    object per tree. Each tree is encoded by its own ``json.dumps``, so the
-    C encoder does the work and only one tree's lists are held at a time;
-    the bytes are those ``json.dump`` of the whole document writes."""
+    """Write the v2 model file to ``path`` exactly, whatever its name.
+
+    It is a zip of stored (uncompressed) members: ``header.json`` with the
+    format, version, config, names and bounds; one ``.npy`` member per node
+    array of ``_TREE_ARRAYS``, holding the packed array; and
+    ``node_counts.npy``, each tree's node count. Each array is streamed into
+    its member, and every member has the same fixed timestamp, so the bytes
+    depend only on the forest. Leaf boxes are not stored: a forest builds
+    them on first use.
+    """
     header = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -504,11 +525,20 @@ def save(forest: Forest, path) -> None:
         "target_names": list(forest.target_names),
         "feature_bounds": forest.feature_bounds.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header)[:-1] + ', "trees": [')
-        for t, tree in enumerate(forest.trees):
-            fh.write((", " if t else "") + json.dumps({name: getattr(tree, name).tolist() for name in _TREE_ARRAYS}))
-        fh.write("]}")
+    arrays = {name: getattr(forest, name) for name in _TREE_ARRAYS}
+    arrays[_NODE_COUNTS] = np.diff(forest.roots, append=forest.feature.shape[0])
+    with zipfile.ZipFile(path, "w") as archive:
+        with archive.open(_member(_HEADER), "w") as fh:
+            fh.write(json.dumps(header).encode())
+        for name, array in arrays.items():
+            with archive.open(_member(f"{name}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def _member(name: str) -> zipfile.ZipInfo:
+    info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))  # the earliest time a zip can hold
+    info.create_system = 3  # Unix, on every platform
+    return info
 
 
 def _numbers_only(values: list, nested: bool) -> bool:
@@ -518,32 +548,91 @@ def _numbers_only(values: list, nested: bool) -> bool:
     return set(map(type, itertools.chain.from_iterable(values) if nested else values)) <= {int, float}
 
 
-def load(path) -> Forest:
-    """Read a model file. Only what JSON parsing can get wrong is checked
-    here; ``Forest`` checks the structure, as for any forest."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # undecodable bytes, malformed or too deeply nested JSON
-        raise ModelError(f"{path}: corrupt model file ({exc})") from None
+def _header(path, doc, version: int):
+    """The config and the names and bounds ``Forest`` takes, from a parsed
+    header of the given version (v1's document, v2's ``header.json``)."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"{path}: not a {MODEL_FORMAT} file")
-    version = doc.get("version")
-    if isinstance(version, bool) or version != MODEL_VERSION:  # True == 1
-        raise ModelError(f"{path}: unsupported model version {version!r}")
+    found = doc.get("version")
+    if isinstance(found, bool) or found != version:  # True == 1
+        raise ModelError(f"{path}: unsupported model version {found!r}")
     try:
         config = ForestConfig(**doc["config"])
         fields = [doc[key] for key in ("feature_names", "target_names", "feature_bounds")]
         if not _numbers_only(fields[2], True):
             raise ValueError("feature_bounds must hold numbers, not bools or strings")
-        trees = []
-        for t, parsed in enumerate(doc.pop("trees")):  # the parsed lists are freed after the loop
-            for name, (_, _, per_target) in _TREE_ARRAYS.items():
-                if not _numbers_only(parsed[name], per_target):
-                    raise ValueError(f"tree {t}: {name} must hold numbers, not bools or strings")
-            trees.append(Tree(*(np.asarray(parsed[name]) for name in _TREE_ARRAYS)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ForestConfig's ModelError too
         raise ModelError(f"{path}: corrupt model file ({exc})") from None
+    return config, fields
+
+
+def _read_v1(path, fh):
+    doc = json.load(fh)
+    config, fields = _header(path, doc, 1)
+    trees = []
+    for t, parsed in enumerate(doc.pop("trees")):  # the parsed lists are freed after the loop
+        for name, (_, _, per_target) in _TREE_ARRAYS.items():
+            if not _numbers_only(parsed[name], per_target):
+                raise ValueError(f"tree {t}: {name} must hold numbers, not bools or strings")
+        trees.append(Tree(*(np.asarray(parsed[name]) for name in _TREE_ARRAYS)))
+    return config, fields, trees
+
+
+def _read_v2(path, fh):
+    size = os.fstat(fh.fileno()).st_size
+    with zipfile.ZipFile(fh) as archive:
+        for info in archive.infolist():  # so no member can inflate, or claim more bytes than the file has
+            if info.compress_type != zipfile.ZIP_STORED or max(info.file_size, info.compress_size) > size:
+                raise ValueError(f"{info.filename} is not a stored member inside the file")
+        config, fields = _header(path, json.loads(archive.read(_HEADER).decode("utf-8")), MODEL_VERSION)
+        names = [*_TREE_ARRAYS, _NODE_COUNTS]
+        if sorted(archive.namelist()) != sorted([_HEADER, *(f"{name}.npy" for name in names)]):
+            raise ValueError(f"members {archive.namelist()}, expected {_HEADER} and one .npy per {names}")
+        arrays = [_read_npy(archive, f"{name}.npy") for name in names]
+    counts = arrays.pop()
+    sizes = counts.tolist() if counts.ndim == 1 and counts.dtype.kind in "iu" else []
+    if not sizes or min(sizes) < 1 or sum(sizes) != len(arrays[0]):
+        raise ValueError(f"{_NODE_COUNTS} must be a 1-D array of integers >= 1 that sum to the node count")
+    stops = list(itertools.accumulate(sizes))
+    return config, fields, [Tree(*(array[stop - n : stop] for array in arrays)) for n, stop in zip(sizes, stops)]
+
+
+def _read_npy(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """One ``.npy`` member, read with ``allow_pickle=False`` once its header
+    is known to declare exactly the data the member holds, so no array is
+    allocated larger than the file."""
+    with archive.open(name) as member:
+        version = np.lib.format.read_magic(member)
+        read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
+        shape, _, dtype = read_header(member)  # read_array refuses a version it does not know
+        declared, held = math.prod(shape) * dtype.itemsize, archive.getinfo(name).file_size - member.tell()
+        if declared != held:
+            raise ValueError(f"{name}: header declares {declared} bytes of data, the member holds {held}")
+        member.seek(0)
+        return np.lib.format.read_array(member, allow_pickle=False)
+
+
+# what reading a model file can raise on bytes that are not a model
+_CORRUPT = (zipfile.BadZipFile, zipfile.LargeZipFile, EOFError, NotImplementedError, RuntimeError, OSError,
+            KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+def load(path) -> Forest:
+    """Read a model file of either version, told apart by its first bytes,
+    not its name: a zip is v2, what ``save`` writes, and anything else is
+    read as v1 JSON. Only what reading the file can get wrong is checked
+    here; ``Forest`` checks the structure, as for any forest."""
+    with open(path, "rb") as fh:
+        try:
+            if fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
+                config, fields, trees = _read_v2(path, fh)
+            else:
+                fh.seek(0)
+                config, fields, trees = _read_v1(path, io.TextIOWrapper(fh, encoding="utf-8"))
+        except ModelError:  # the header's, which name the file already
+            raise
+        except _CORRUPT as exc:  # undecodable bytes, malformed or too deeply nested JSON, a broken zip
+            raise ModelError(f"{path}: corrupt model file ({str(exc) or type(exc).__name__})") from None
     try:
         return Forest(trees, config, *fields)
     except ModelError as exc:

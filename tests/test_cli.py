@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import ruleforest.cli as cli_module
-from ruleforest import Dataset, load_csv, make_synthetic, save_csv
+from conftest import write_v1
+from ruleforest import Dataset, load, load_csv, make_synthetic, save, save_csv
 from ruleforest.cli import main
 from ruleforest.reduction import MAX_PRECISION
 from test_forest import CORRUPTIONS
@@ -363,9 +364,15 @@ def test_csv_with_a_repeated_column_is_data_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and "'a' appears more than once" in err
 
 
+def v1_document(model, tmp_path):
+    """The parsed v1 file of a model, to corrupt and write back."""
+    write_v1(load(model), tmp_path / "v1.model")
+    return json.loads((tmp_path / "v1.model").read_text())
+
+
 def test_model_with_root_cycle_is_data_error(workspace, capsys, tmp_path):
     _, _, model = workspace
-    doc = json.loads(model.read_text())
+    doc = v1_document(model, tmp_path)
     doc["trees"][0]["left"][0] = doc["trees"][0]["right"][0] = 0
     broken = tmp_path / "cycle.model"
     broken.write_text(json.dumps(doc))
@@ -395,7 +402,7 @@ def test_model_with_root_cycle_is_data_error(workspace, capsys, tmp_path):
 )
 def test_model_with_value_save_never_writes_is_data_error(workspace, capsys, tmp_path, corruption):
     _, _, model = workspace
-    doc = json.loads(model.read_text())
+    doc = v1_document(model, tmp_path)
     CORRUPTIONS[corruption](doc)
     broken = tmp_path / "broken.model"
     broken.write_text(json.dumps(doc))
@@ -403,6 +410,50 @@ def test_model_with_value_save_never_writes_is_data_error(workspace, capsys, tmp
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_v1_file_and_its_v2_resave_explain_alike(workspace, capsys, tmp_path, monkeypatch):
+    _, _, model = workspace
+    v1, v2 = tmp_path / "v1", tmp_path / "v2"
+    v1.mkdir(), v2.mkdir()
+    write_v1(load(model), v1 / "m.model")
+    save(load(v1 / "m.model"), v2 / "m.model")
+    assert (v1 / "m.model").read_bytes()[:1] == b"{" and (v2 / "m.model").read_bytes()[:4] == b"PK\x03\x04"
+    runs = []
+    for folder in (v1, v2):
+        monkeypatch.chdir(folder)  # the config line names the model and the report, relative to here
+        argv = ["explain", "--model", "m.model", "--instance", "0.3,-0.2,0.5,0.1", "--allowed-error", "0.3",
+                "--report", "report.json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        report = [line for line in (folder / "report.json").read_text().splitlines() if "elapsed_seconds" not in line]
+        runs.append((out.splitlines()[1], report))
+    assert runs[0] == runs[1] and RULE_RE.match(runs[0][0])
+
+
+def test_model_trained_to_a_json_name_explains(workspace, capsys, tmp_path):
+    _, data, model = workspace
+    out = tmp_path / "model.json"  # written as v2 whatever the name
+    train = ["train", "--data", str(data), "--targets", "t0,t1", "--estimators", "10", "--seed", "3", "--out", str(out)]
+    assert run(capsys, train)[0] == 0
+    assert out.read_bytes() == model.read_bytes()
+    rules = []
+    for path in (out, model):
+        argv = ["explain", "--model", str(path), "--instance", "0.1,0.2,0.3,0.4", "--allowed-error", "0.3"]
+        code, printed, _ = run(capsys, argv)
+        assert code == 0
+        rules.append(printed.splitlines()[1])
+    assert rules[0] == rules[1] and RULE_RE.match(rules[0])
+
+
+@pytest.mark.parametrize("header", ["a,,t", "a, ,t"])
+def test_csv_with_a_blank_column_name_is_data_error(capsys, tmp_path, header):
+    data = tmp_path / "blank.csv"
+    data.write_text(header + "\n1,2,3\n4,5,6\n7,8,9\n")
+    code, out, err = run(capsys, ["train", "--data", str(data), "--targets", "t", "--out", str(tmp_path / "m.model")])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "column 2" in err
+    assert not (tmp_path / "m.model").exists()
 
 
 def test_explain_parses_the_csv_once(workspace, capsys, monkeypatch):

@@ -100,6 +100,13 @@ def test_repeated_header_name_rejected(tmp_path, targets):
         load_csv(path, targets)
 
 
+@pytest.mark.parametrize("header, position", [("a,,t", 2), ("a, ,t", 2), (",a,t", 1), ("a,,,t", 2)])
+def test_blank_header_name_rejected(tmp_path, header, position):
+    path = write(tmp_path, header + "\n" + ",".join("1" * (header.count(",") + 1)) + "\n")
+    with pytest.raises(DatasetError, match=f"column {position} has a blank name"):
+        load_csv(path, ["t"])
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(DatasetError, match="duplicate"):
         Dataset(np.ones((2, 2)), np.ones((2, 1)), ("a", "a"), ("t",))

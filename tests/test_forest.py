@@ -1,7 +1,12 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+import tracemalloc
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ruleforest.forest as forest_module
-from conftest import build_forest, build_tree, leaf, predict_tree, random_forest, split
+from conftest import build_forest, build_tree, leaf, predict_tree, random_forest, split, write_v1
 from ruleforest import (
     Dataset,
     Forest,
@@ -155,6 +160,7 @@ def test_save_load_roundtrip(tmp_path, rng):
     ids=["six_trees", "three_shallow_trees", "one_tree"],
 )
 def test_save_writes_json_of_the_v1_document(tmp_path, shape, config):
+    # save writes v2; v1 files, which load still reads, come from the tests' write_v1
     forest = fit(make_synthetic(*shape, seed=shape[0]), config)
     document = {
         "format": "ruleforest-model",
@@ -166,7 +172,7 @@ def test_save_writes_json_of_the_v1_document(tmp_path, shape, config):
         "trees": [{field: getattr(tree, field).tolist() for field in Tree._fields} for tree in forest.trees],
     }
     path = tmp_path / "m.model"
-    save(forest, path)
+    write_v1(forest, path)
     assert path.read_bytes() == json.dumps(document).encode()
 
 
@@ -180,7 +186,7 @@ def test_load_wrong_version(tmp_path):
 def test_load_truncated(tmp_path):
     ds = make_synthetic(20, 3, 1, seed=0)
     path = tmp_path / "trunc.model"
-    save(fit(ds, ForestConfig(n_estimators=2)), path)
+    write_v1(fit(ds, ForestConfig(n_estimators=2)), path)
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     with pytest.raises(ModelError, match="corrupt"):
         load(path)
@@ -254,7 +260,7 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_load_rejects_corrupt_tree(tmp_path, corruption):
     path = tmp_path / "m.model"
-    save(fit(make_synthetic(40, 3, 2, seed=1), ForestConfig(n_estimators=3, seed=0)), path)
+    write_v1(fit(make_synthetic(40, 3, 2, seed=1), ForestConfig(n_estimators=3, seed=0)), path)
     doc = json.loads(path.read_text())
     assert doc["trees"][0]["feature"][0] != -1  # the root splits, so it has children
     CORRUPTIONS[corruption](doc)
@@ -315,8 +321,9 @@ def test_config_takes_numpy_integers_as_ints(tmp_path):
     assert load(path).config == config
 
 
-# a small hand-built forest (depths 0 to 3, two targets) and its v1 file
+# a small hand-built forest (depths 0 to 3, two targets), its v1 file and the v2 file save writes
 GOLDEN_FILE = Path(__file__).parent / "data" / "model_v1.json"
+GOLDEN_V2 = Path(__file__).parent / "data" / "model_v2.model"
 GOLDEN_SPECS = [
     leaf([0.5, -1.25]),
     split(0, 0.5, leaf([1.0, 2.0]), leaf([-3.0, 0.125])),
@@ -325,12 +332,121 @@ GOLDEN_SPECS = [
 ]
 
 
+def golden_forest():
+    return build_forest(GOLDEN_SPECS, d=3, bounds=[[-4.0, 4.5], [-3.0, 2.0], [-1.0, 5.0]])
+
+
+def assert_same_forest(a, b):
+    """Equal node arrays, roots and bounds, dtypes included, and equal names and config."""
+    for name in (*Tree._fields, "roots", "feature_bounds"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert (a.config, a.feature_names, a.target_names) == (b.config, b.feature_names, b.target_names)
+
+
 def test_save_writes_the_golden_v1_file(tmp_path):
+    # v1 files now come from the tests' write_v1; load reads them as the forest they were written from
     path = tmp_path / "m.model"
-    save(build_forest(GOLDEN_SPECS, d=3, bounds=[[-4.0, 4.5], [-3.0, 2.0], [-1.0, 5.0]]), path)
+    write_v1(golden_forest(), path)
     assert path.read_bytes() == GOLDEN_FILE.read_bytes()
-    save(load(GOLDEN_FILE), path)
+    assert_same_forest(load(GOLDEN_FILE), golden_forest())
+    write_v1(load(GOLDEN_FILE), path)
     assert path.read_bytes() == GOLDEN_FILE.read_bytes()
+
+
+def test_save_writes_the_golden_v2_file(tmp_path, monkeypatch):
+    path = tmp_path / "x.model"
+    save(golden_forest(), path)
+    assert path.read_bytes() == GOLDEN_V2.read_bytes()
+    assert os.listdir(tmp_path) == ["x.model"]  # the path as given, with no .npz appended
+    assert_same_forest(load(GOLDEN_V2), golden_forest())
+    monkeypatch.setattr(time, "time", lambda: time.mktime((2031, 5, 6, 7, 8, 9, 0, 0, -1)))
+    for forest in (golden_forest(), load(GOLDEN_V2), load(GOLDEN_FILE)):  # from v2, and from v1
+        save(forest, path)
+        assert path.read_bytes() == GOLDEN_V2.read_bytes()
+
+
+def test_load_of_save_is_the_same_forest(tmp_path, rng):
+    forests = [random_forest(rng, n_trees=n, d=4, m=m, depth=4) for n, m in ((1, 1), (9, 3))]
+    forests.append(fit(make_synthetic(60, 5, 2, seed=7), ForestConfig(n_estimators=5, max_features=0.5, seed=2)))
+    path = tmp_path / "m.json"  # the format goes by the first bytes, not the name
+    for forest in forests:
+        save(forest, path)
+        assert path.read_bytes()[:4] == b"PK\x03\x04"
+        assert_same_forest(load(path), forest)
+
+
+def _members(data: bytes) -> dict[str, bytes]:
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        return {info.filename: archive.read(info) for info in archive.infolist()}
+
+
+def _zip(members: dict[str, bytes], compression=zipfile.ZIP_STORED) -> bytes:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", compression) as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return buffer.getvalue()
+
+
+def _npy(array: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, allow_pickle=True)  # an object array is pickled, as np.save does
+    return buffer.getvalue()
+
+
+def _raw_npy(descr: str, shape: tuple, data: bytes) -> bytes:
+    """An .npy member of a given header and data, whether or not they agree."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": descr, "fortran_order": False, "shape": shape})
+    return header.getvalue() + data
+
+
+GOLDEN_MEMBERS = _members(GOLDEN_V2.read_bytes())
+def _golden_with(name: str, member: bytes) -> bytes:
+    """The golden v2 file with one member added or replaced."""
+    return _zip({**GOLDEN_MEMBERS, name: member})
+
+
+COUNTS = "node_counts must be a 1-D array of integers >= 1 that sum to the node count"
+# id: (the file's bytes, the ModelError message after its name)
+V2_FAULTS = {
+    "truncated": (GOLDEN_V2.read_bytes()[:1000], "corrupt model file"),
+    "deflated": (_zip(GOLDEN_MEMBERS, zipfile.ZIP_DEFLATED), "header.json is not a stored member"),
+    "member_missing": (_zip({k: v for k, v in GOLDEN_MEMBERS.items() if k != "left.npy"}), "members"),
+    "member_extra": (_golden_with("leaf_boxes.npy", _npy(np.zeros(3))), "members"),
+    "objects": (_golden_with("threshold.npy", _raw_npy("|O", (16,), bytes(128))), "allow_pickle=False"),
+    "counts_float": (_golden_with("node_counts.npy", _npy(np.array([1.0, 3, 5, 7]))), COUNTS),
+    "counts_2d": (_golden_with("node_counts.npy", _npy(np.array([[1, 3], [5, 7]]))), COUNTS),
+    "counts_zero": (_golden_with("node_counts.npy", _npy(np.array([0, 4, 5, 7]))), COUNTS),
+    "counts_short_of_nodes": (_golden_with("node_counts.npy", _npy(np.array([1, 3, 5, 6]))), COUNTS),
+    # int64 counts whose sum wraps round to the node count
+    "counts_wrap": (_golden_with("node_counts.npy", _npy(np.array([2**63 - 1, 2**63 - 1, 2, 16]))), COUNTS),
+    "array_declared_larger": (
+        _golden_with("sample_count.npy", _raw_npy("|i1", (10**8,), bytes(16))),
+        "sample_count.npy: header declares 100000000 bytes of data, the member holds 16",
+    ),
+    "version_1": (
+        _golden_with("header.json", GOLDEN_MEMBERS["header.json"].replace(b'"version": 2', b'"version": 1')),
+        "unsupported model version 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(V2_FAULTS))
+def test_load_rejects_corrupt_v2_file(tmp_path, fault):
+    assert [int(n) for n in np.load(io.BytesIO(GOLDEN_MEMBERS["node_counts.npy"]))] == [1, 3, 5, 7]
+    data, message = V2_FAULTS[fault]
+    path = tmp_path / "m.model"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7  # the header declaring 10**8 bytes allocated no array of that size
 
 
 def _locations(node, at=()):
@@ -382,6 +498,64 @@ def test_mutated_model_file_fails_cleanly_or_predicts(tmp_path, capsys, location
         assert np.isfinite(predict(forest, np.zeros(forest.d))).all()
     if mutation == "swap bool" and location[0] in ("trees", "feature_bounds", "version"):
         assert forest is None
+    code = main(["inspect", "--model", str(path)])
+    err = capsys.readouterr().err
+    assert code == (2 if forest is None else 0)
+    assert len(err.splitlines()) == (1 if forest is None else 0)
+
+
+HEADER_LOCATIONS = list(_locations(json.loads(GOLDEN_MEMBERS["header.json"])))
+
+
+@st.composite
+def mutated_v2_file(draw):
+    """The golden v2 bytes with one byte flipped, cut short or extended, or
+    rezipped with a member dropped, an array member of another dtype or
+    shape, or one value of ``header.json`` mutated as the v1 fuzz does."""
+    data = GOLDEN_V2.read_bytes()
+    mutation = draw(st.sampled_from(["flip", "truncate", "append", "drop", "swap", "header"]))
+    if mutation == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+    if mutation == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if mutation == "append":
+        return data + draw(st.binary(min_size=1, max_size=64))
+    members = dict(GOLDEN_MEMBERS)
+    if mutation == "drop":
+        del members[draw(st.sampled_from(sorted(members)))]
+    elif mutation == "swap":
+        name = draw(st.sampled_from(sorted(set(members) - {"header.json"})))
+        array, dtype = np.load(io.BytesIO(members[name])), KIND_DTYPES[draw(st.sampled_from(sorted(KIND_DTYPES)))]
+        if draw(st.booleans()):
+            array = array.astype(dtype)
+        else:
+            shape = draw(st.just(array.shape) | hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+            elements = st.integers(-3, 3) | st.floats() | st.none() if dtype is object else None
+            array = draw(hnp.arrays(dtype, shape, elements=elements))
+        members[name] = _npy(array)
+    else:
+        header = json.loads(members["header.json"])
+        location = draw(st.sampled_from(HEADER_LOCATIONS))
+        parent = header
+        for key in location[:-1]:
+            parent = parent[key]
+        FUZZ_MUTATIONS[draw(st.sampled_from(sorted(FUZZ_MUTATIONS)))](parent, location[-1])
+        members["header.json"] = json.dumps(header).encode()
+    return _zip(members)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_v2_file())
+def test_mutated_v2_model_file_fails_cleanly_or_predicts(tmp_path, capsys, data):
+    path = tmp_path / "fuzzed.model"
+    path.write_bytes(data)
+    try:
+        forest = load(path)
+    except ModelError:
+        forest = None
+    else:
+        assert np.isfinite(predict(forest, np.zeros(forest.d))).all()
     code = main(["inspect", "--model", str(path)])
     err = capsys.readouterr().err
     assert code == (2 if forest is None else 0)
