@@ -210,8 +210,6 @@ def cmd_explain(args) -> int:
         raise UsageError("provide --allowed-error, or --data/--targets to derive the CV default")
 
     result = explain(forest, x, allowed, min_support=args.min_support, precision=args.precision)
-    print(_effective_config("explain", args))
-    print(result.rendered)
     trace = result.reduction.trace
     report = {
         "kept_paths": len(result.reduction.kept),
@@ -238,12 +236,14 @@ def cmd_explain(args) -> int:
         report["envelope_violations"] = probe.envelope_violations
         report["certified_lower"] = probe.lower.tolist()
         report["certified_upper"] = probe.upper.tolist()
-    if args.report:
+    if args.report:  # before any output, so a report that cannot be written leaves stdout empty
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(_effective_config("explain", args) + "\n")
             json.dump(report, fh, indent=2)
             fh.write("\n")
-    else:
+    print(_effective_config("explain", args))
+    print(result.rendered)
+    if not args.report:
         print(json.dumps(report, indent=2))
     return EXIT_OK
 

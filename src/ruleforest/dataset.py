@@ -102,10 +102,12 @@ def load_csv(path, target_columns, missing_policy: str = "zero_fill") -> Dataset
     with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of a name
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        raw_rows = [row for row in reader if row]
+            header = next(reader, None)
+            raw_rows = [row for row in reader if row]
+        except csv.Error as exc:  # a cell longer than the csv module's field limit, for one
+            raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
+    if header is None:
+        raise DatasetError(f"{path}: empty file")
     header = [name.strip() for name in header]
     if "" in header:
         raise DatasetError(f"{path}: column {header.index('') + 1} has a blank name in the header")

@@ -1,13 +1,13 @@
 """Multi-output regression random forest with explainer-facing internals.
 
-Each tree is grown or loaded as flat node arrays (``Tree``). Growing is
-exact CART: each node runs one split search over all of its candidate
-features at once (one sort of the candidate columns and one set of
-cumulative target sums), and the tree grows depth first from an explicit
-stack, in the order that fixes which candidates each node draws. Building a
-``Forest`` packs the six node arrays of every tree into one read-only node
-table with one root offset per tree, and keeps no per-tree object. For the
-walks, child links become global node indices and leaves link to
+A forest is one node table, every tree's nodes back to back in six flat
+arrays (a ``Tree``), and each tree's node count. Growing is exact CART:
+each node runs one split search over all of its candidate features at once
+(one sort of the candidate columns and one set of cumulative target sums),
+and a tree grows depth first from an explicit stack, in the order that
+fixes which candidates each node draws; ``fit`` concatenates the grown
+trees once. ``Forest`` copies the table read-only, with one root offset per
+tree. For the walks, child links become global node indices, leaves link to
 themselves, so a fixed number of steps (the deepest tree's depth) routes
 every (tree, row) pair to its leaf. ``Forest.walk`` takes those steps for
 all trees at once, one depth level per step, over a (trees, rows) node array
@@ -22,9 +22,10 @@ bound what an excluded tree could have predicted, are stacked once as
 (trees, m) arrays. Every table derived from the nodes is read-only.
 
 Building a ``Forest`` is the one check of a forest's structure, however the
-trees were made: distinct string names, at least one target, finite (d, 2)
-feature bounds of numbers, one tree per ``config.n_estimators``, node arrays
-of the shape, element kind and dtype the node schema ``_TREE_ARRAYS`` gives
+table was made, on whole arrays: node counts of at least 1 that sum to the
+node count, one per ``config.n_estimators``, distinct string names, at
+least one target, finite (d, 2) feature bounds of numbers, node arrays of
+the shape, element kind and dtype the node schema ``_TREE_ARRAYS`` gives
 (shape first, kind second, cast last), features in range, children after
 their parent inside the same tree, finite numbers. So the walk ends on every
 forest that can be built.
@@ -32,12 +33,13 @@ forest that can be built.
 ``save`` writes model format v2: a zip of stored members, ``header.json``
 (format, version, config, names, bounds), one ``.npy`` per node array of
 ``_TREE_ARRAYS`` holding the packed array, and ``node_counts.npy``. ``load``
-reads v2, and v1 (one JSON document of per-tree node lists), telling them
-apart by the first bytes. It adds only what reading the file needs: for
-v1, no bool or string where numbers belong, since numpy reads ``[1, true]``
-as ``[1, 1]``; for v2, exactly the expected members, uncompressed, arrays
-read with ``allow_pickle=False`` whose headers declare the data their
-members hold, and node counts that split the packed arrays into trees.
+reads v2 as one node table, and v1 (one JSON document of per-tree node
+lists) by concatenating the lists, telling them apart by the first bytes.
+It adds only what reading the file needs: for v1, no bool or string where
+numbers belong (numpy reads ``[1, true]`` as ``[1, 1]``) and every node
+list of a tree as long as its ``feature``; for v2, exactly the expected
+members, uncompressed, arrays read with ``allow_pickle=False`` whose
+headers declare the data their members hold.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class ForestConfig:
         return max(1, int(round(float(self.max_features) * d)))
 
 
-# The node schema, which ``Forest`` applies to every tree and ``save`` writes
+# The node schema, which ``Forest`` applies to the node table and ``save`` writes
 # as one v2 ``.npy`` member per array, in this order. Per array: what its elements
 # may be ("integers" or "numbers", as numpy kinds), the dtype it is cast to,
 # and whether it has one column per target, shape (n, m), rather than (n,).
@@ -127,14 +129,13 @@ _TREE_ARRAYS = {
 
 
 class Tree(NamedTuple):
-    """One tree's node arrays, in the order of ``_TREE_ARRAYS``. ``feature[i]
-    == LEAF`` marks a leaf node.
+    """Node arrays in the order of ``_TREE_ARRAYS``, of one tree or of the
+    node table ``Forest`` takes. ``feature[i] == LEAF`` marks a leaf node.
 
     Routing convention: an instance with value <= threshold goes left,
-    otherwise right. ``left``/``right`` are node indices within this tree.
-    ``value`` holds the leaf prediction vector for leaves (zeros elsewhere).
-    ``fit`` and ``load`` hand trees to ``Forest``, which packs them; the
-    trees a ``Forest`` gives are read-only views into its packed arrays.
+    otherwise right. ``left``/``right`` are node indices within the node's
+    own tree, in a table too. ``value`` holds the leaf prediction vector for
+    leaves (zeros elsewhere). ``forest.trees`` are read-only views.
     """
 
     feature: np.ndarray
@@ -164,22 +165,31 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 class Forest:
-    """Trees packed into one read-only node table, and the tables derived from it.
+    """One read-only node table of every tree, and the tables derived from it.
 
-    The six node arrays of ``_TREE_ARRAYS`` hold every tree's nodes back to
-    back; tree ``t`` starts at node ``roots[t]``, and ``left``/``right`` keep
-    the in-tree child indices of a ``Tree``. Building the forest checks and
-    packs the given trees once and leaves them as they were; it keeps no
-    per-tree object, and ``trees`` makes read-only ``Tree`` views into the
-    packed arrays when read. The node arrays and every table built from
-    them (``roots``, ``depths``, the leaf extremes, the child links the walks
-    follow, ``feature_bounds`` and ``leaf_boxes``) are read-only, so none of
-    them can fall out of step with the others.
+    ``nodes`` holds the six node arrays of ``_TREE_ARRAYS``, every tree's
+    nodes back to back, and ``node_counts`` each tree's node count; tree
+    ``t`` starts at node ``roots[t]``, and ``left``/``right`` keep in-tree
+    indices. Building the forest checks and copies each whole array once,
+    leaving the caller's as they were; it keeps no per-tree object, and
+    ``trees`` makes read-only ``Tree`` views when read. The node arrays and
+    every table built from them (``roots``, ``depths``, the leaf extremes, the
+    child links the walks follow, ``feature_bounds`` and ``leaf_boxes``) are
+    read-only, so none of them can fall out of step with the others.
     """
 
-    def __init__(self, trees: list[Tree], config: ForestConfig, feature_names, target_names, feature_bounds):
-        if config.n_estimators != len(trees):
-            raise ModelError(f"config.n_estimators is {config.n_estimators}, but the forest has {len(trees)} trees")
+    def __init__(self, nodes: Tree, node_counts, config: ForestConfig, feature_names, target_names, feature_bounds):
+        try:
+            counts, arrays = np.asarray(node_counts), dict(zip(_TREE_ARRAYS, map(np.asarray, nodes), strict=True))
+        except ValueError as exc:  # a ragged list
+            raise ModelError(f"node arrays and node counts must be arrays ({exc})") from None
+        sizes = counts.tolist() if counts.ndim == 1 and counts.dtype.kind in "iu" else []
+        n_nodes = sum(sizes)  # of Python ints, so no sum wraps round to the node count
+        # a 0-d feature passes here and fails its shape test below
+        if not sizes or min(sizes) < 1 or arrays["feature"].shape[:1] not in ((), (n_nodes,)):
+            raise ModelError(f"{_NODE_COUNTS} must be a 1-D array of integers >= 1 that sum to the node count")
+        if config.n_estimators != len(sizes):
+            raise ModelError(f"config.n_estimators is {config.n_estimators}, but the forest has {len(sizes)} trees")
         for kind, names in (("feature", feature_names), ("target", target_names)):
             if isinstance(names, str) or not isinstance(names, Sequence) or not all(isinstance(n, str) for n in names):
                 raise ModelError(f"{kind}_names must be a sequence of strings, not one str or other values")
@@ -197,30 +207,17 @@ class Forest:
         self.feature_bounds = _read_only(bounds.astype(np.float64, copy=False))  # (d, 2) training min/max
         # (N,) arrays in Tree's field order: split feature (LEAF at leaves), threshold, in-tree left and
         # right child at inner nodes, (N, m) leaf predictions and the training rows that reached the node
-        packed, nodes = [], None
-        for name, column in zip(_TREE_ARRAYS, zip(*trees)):
+        packed = []
+        for name, array in arrays.items():
             holds, dtype, per_target = _TREE_ARRAYS[name]
-            arrays = []
-            for t, array in enumerate(column):
-                try:
-                    arrays.append(np.asarray(array))
-                except ValueError as exc:  # a ragged list
-                    raise ModelError(f"tree {t}: {name} is not an array ({exc})") from None
-            shapes = [array.shape for array in arrays]
-            if nodes is None:  # each tree's node count, from its feature array (0 for a 0-d one, which fails)
-                nodes = [shape[0] if shape else 0 for shape in shapes]
-            expected = [(n, self.m) if per_target else (n,) for n in nodes]
-            if shapes != expected:
-                t = next(t for t, shape in enumerate(shapes) if shape != expected[t])
-                raise ModelError(f"tree {t}: {name} has shape {shapes[t]}, expected {expected[t]}")
-            if 0 in nodes:
-                raise ModelError(f"tree {nodes.index(0)}: needs at least one node")
-            if not {array.dtype.kind for array in arrays}.issubset(_HOLDS[holds]):
-                t = next(t for t, array in enumerate(arrays) if array.dtype.kind not in _HOLDS[holds])
-                raise ModelError(f"tree {t}: {name} holds {arrays[t].dtype} values, expected {holds}")
-            packed.append(_read_only(np.concatenate(arrays).astype(dtype, copy=False)))
+            expected = (n_nodes, self.m) if per_target else (n_nodes,)
+            if array.shape != expected:
+                raise ModelError(f"{name} has shape {array.shape}, expected {expected}")
+            if array.dtype.kind not in _HOLDS[holds]:
+                raise ModelError(f"{name} holds {array.dtype} values, expected {holds}")
+            packed.append(_read_only(array.astype(dtype)))  # a copy: the caller's array stays as it is
         self.feature, self.threshold, self.left, self.right, self.value, self.sample_count = packed
-        sizes = np.array(nodes)
+        sizes = np.array(sizes)
         self.roots = _read_only(np.concatenate([[0], np.cumsum(sizes)[:-1]]))  # (T,) first node of each tree
         tree_of = np.repeat(np.arange(self.n_trees), sizes)
         node = np.arange(self.feature.shape[0])
@@ -494,7 +491,8 @@ def fit(train, config: ForestConfig) -> Forest:
         rows = rng.integers(0, n, size=n) if config.bootstrap else slice(None)
         trees.append(_grow_tree(X[rows], Y[rows], config, rng, scale))
     bounds = np.column_stack([X.min(axis=0), X.max(axis=0)])
-    return Forest(trees, config, train.feature_names, train.target_names, bounds)
+    nodes = Tree(*map(np.concatenate, zip(*trees)))
+    return Forest(nodes, [tree.n_nodes for tree in trees], config, train.feature_names, train.target_names, bounds)
 
 
 def evaluate_mae(forest: Forest, data) -> tuple[np.ndarray, float]:
@@ -569,13 +567,16 @@ def _header(path, doc, version: int):
 def _read_v1(path, fh):
     doc = json.load(fh)
     config, fields = _header(path, doc, 1)
-    trees = []
-    for t, parsed in enumerate(doc.pop("trees")):  # the parsed lists are freed after the loop
+    trees, counts = doc.pop("trees"), []
+    for t, parsed in enumerate(trees):
+        counts.append(len(parsed["feature"]))
         for name, (_, _, per_target) in _TREE_ARRAYS.items():
             if not _numbers_only(parsed[name], per_target):
                 raise ValueError(f"tree {t}: {name} must hold numbers, not bools or strings")
-        trees.append(Tree(*(np.asarray(parsed[name]) for name in _TREE_ARRAYS)))
-    return config, fields, trees
+            if len(parsed[name]) != counts[t]:  # which the packed length alone cannot tell
+                raise ValueError(f"tree {t}: {name} has {len(parsed[name])} nodes, feature has {counts[t]}")
+    nodes = Tree(*(np.asarray([node for tree in trees for node in tree[name]]) for name in _TREE_ARRAYS))
+    return config, fields, nodes, counts
 
 
 def _read_v2(path, fh):
@@ -588,13 +589,8 @@ def _read_v2(path, fh):
         names = [*_TREE_ARRAYS, _NODE_COUNTS]
         if sorted(archive.namelist()) != sorted([_HEADER, *(f"{name}.npy" for name in names)]):
             raise ValueError(f"members {archive.namelist()}, expected {_HEADER} and one .npy per {names}")
-        arrays = [_read_npy(archive, f"{name}.npy") for name in names]
-    counts = arrays.pop()
-    sizes = counts.tolist() if counts.ndim == 1 and counts.dtype.kind in "iu" else []
-    if not sizes or min(sizes) < 1 or sum(sizes) != len(arrays[0]):
-        raise ValueError(f"{_NODE_COUNTS} must be a 1-D array of integers >= 1 that sum to the node count")
-    stops = list(itertools.accumulate(sizes))
-    return config, fields, [Tree(*(array[stop - n : stop] for array in arrays)) for n, stop in zip(sizes, stops)]
+        *arrays, counts = [_read_npy(archive, f"{name}.npy") for name in names]
+    return config, fields, Tree(*arrays), counts
 
 
 def _read_npy(archive: zipfile.ZipFile, name: str) -> np.ndarray:
@@ -625,15 +621,15 @@ def load(path) -> Forest:
     with open(path, "rb") as fh:
         try:
             if fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
-                config, fields, trees = _read_v2(path, fh)
+                config, fields, nodes, counts = _read_v2(path, fh)
             else:
                 fh.seek(0)
-                config, fields, trees = _read_v1(path, io.TextIOWrapper(fh, encoding="utf-8"))
+                config, fields, nodes, counts = _read_v1(path, io.TextIOWrapper(fh, encoding="utf-8"))
         except ModelError:  # the header's, which name the file already
             raise
         except _CORRUPT as exc:  # undecodable bytes, malformed or too deeply nested JSON, a broken zip
             raise ModelError(f"{path}: corrupt model file ({str(exc) or type(exc).__name__})") from None
     try:
-        return Forest(trees, config, *fields)
+        return Forest(nodes, counts, config, *fields)
     except ModelError as exc:
         raise ModelError(f"{path}: {exc}") from None

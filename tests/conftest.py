@@ -72,13 +72,20 @@ def leaf_extremes(tree):
     return values.min(axis=0), values.max(axis=0)
 
 
+def pack(trees):
+    """The node table and node counts ``Forest`` takes, from trees given one by one."""
+    return Tree(*map(np.concatenate, zip(*trees))), [tree.n_nodes for tree in trees]
+
+
 def build_forest(tree_specs, d, bounds=None):
     trees = [build_tree(s) for s in tree_specs]
     m = trees[0].value.shape[1]
     if bounds is None:
         bounds = np.column_stack([np.full(d, -10.0), np.full(d, 10.0)])
+    nodes, node_counts = pack(trees)
     return Forest(
-        trees=trees,
+        nodes=nodes,
+        node_counts=node_counts,
         config=ForestConfig(n_estimators=len(trees), seed=0),
         feature_names=tuple(f"f{i}" for i in range(d)),
         target_names=tuple(f"t{i}" for i in range(m)),

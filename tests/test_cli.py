@@ -364,6 +364,24 @@ def test_csv_with_a_repeated_column_is_data_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and "'a' appears more than once" in err
 
 
+def test_csv_with_a_cell_over_the_field_limit_is_data_error(capsys, tmp_path):
+    data = tmp_path / "long.csv"
+    data.write_text("a,b,t\n1,2,3\n4," + "5" * 200_000 + ",6\n")
+    code, out, err = run(capsys, ["train", "--data", str(data), "--targets", "t", "--out", str(tmp_path / "m.model")])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "long.csv:3: field larger than field limit" in err
+
+
+def test_explain_report_that_cannot_be_written_prints_nothing(workspace, capsys, tmp_path):
+    _, _, model = workspace
+    report = tmp_path / "no such folder" / "report.json"
+    argv = ["explain", "--model", str(model), "--instance", "0.1,0.2,0.3,0.4", "--allowed-error", "0.3",
+            "--report", str(report)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "no such folder" in err
+
+
 def v1_document(model, tmp_path):
     """The parsed v1 file of a model, to corrupt and write back."""
     write_v1(load(model), tmp_path / "v1.model")

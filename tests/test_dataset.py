@@ -107,6 +107,12 @@ def test_blank_header_name_rejected(tmp_path, header, position):
         load_csv(path, ["t"])
 
 
+def test_cell_over_the_csv_field_limit_rejected(tmp_path):
+    path = write(tmp_path, "a,b,t\n1,2,3\n4," + "5" * 200_000 + ",6\n")
+    with pytest.raises(DatasetError, match=r"data\.csv:3: field larger than field limit"):
+        load_csv(path, ["t"])
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(DatasetError, match="duplicate"):
         Dataset(np.ones((2, 2)), np.ones((2, 1)), ("a", "a"), ("t",))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ruleforest.forest as forest_module
-from conftest import build_forest, build_tree, leaf, predict_tree, random_forest, split, write_v1
+from conftest import build_forest, build_tree, leaf, pack, predict_tree, random_forest, split, write_v1
 from ruleforest import (
     Dataset,
     Forest,
@@ -254,6 +254,8 @@ CORRUPTIONS = {
     ),
     "feature_name_repeated": lambda doc: _set(doc, "feature_names", 1, doc["feature_names"][0]),
     "target_name_repeated": lambda doc: _set(doc, "target_names", 1, doc["target_names"][0]),
+    # a row moved from tree 1's values to tree 0's, which leaves the packed length as it was
+    "value_row_moved_between_trees": lambda doc: doc["trees"][0]["value"].append(doc["trees"][1]["value"].pop()),
 }
 
 
@@ -577,9 +579,11 @@ def test_cli_import_and_load_leave_numpy_ma_unimported(tmp_path):
 def test_forest_rejects_child_pointing_back_to_root():
     tree = build_tree(split(0, 0.5, leaf([1.0]), leaf([2.0])))
     tree.left[0] = 0  # the root's left child is the root itself: a walk would never end
+    nodes, node_counts = pack([build_tree(leaf([0.0])), tree])
     with pytest.raises(ModelError, match="tree 1"):
         Forest(
-            trees=[build_tree(leaf([0.0])), tree],
+            nodes=nodes,
+            node_counts=node_counts,
             config=ForestConfig(n_estimators=2),
             feature_names=("f0",),
             target_names=("t0",),
@@ -587,45 +591,44 @@ def test_forest_rejects_child_pointing_back_to_root():
         )
 
 
-SPLIT = build_tree(split(0, 0.5, leaf([1.0]), leaf([2.0])))
+# a leaf, then a split: four nodes in two trees
+NODES, NODE_COUNTS = pack([build_tree(leaf([0.0])), build_tree(split(0, 0.5, leaf([1.0]), leaf([2.0])))])
 
-# id: (the second tree, the Forest arguments that replace the valid ones, the ModelError message)
+# id: (the Forest arguments that replace the valid ones, the ModelError message)
 FOREST_FAULTS = {
-    "value_narrower_than_targets": (
-        build_tree(leaf([1.0])),
-        {"target_names": ("t0", "t1")},
-        r"tree 1: value has shape \(1, 1\), expected \(1, 2\)",
+    "value_narrower_than_targets": ({"target_names": ("t0", "t1")}, r"value has shape \(4, 1\), expected \(4, 2\)"),
+    "bounds_not_2d": ({"feature_bounds": [-1.0, 1.0, 0.0]}, r"feature_bounds must be a finite \(1, 2\) array"),
+    "bounds_not_finite": ({"feature_bounds": [[-1.0, np.inf]]}, r"feature_bounds must be a finite \(1, 2\) array"),
+    "bounds_ragged": ({"feature_bounds": [[-1.0, 1.0], [2.0]]}, r"feature_bounds must be a finite \(1, 2\) array"),
+    "bounds_strings": ({"feature_bounds": [["low", "high"]]}, r"feature_bounds must be .* of numbers"),
+    "bounds_numeric_strings": ({"feature_bounds": [["-1", "1.5"]]}, r"feature_bounds must be .* of numbers"),
+    "threshold_short": (
+        {"nodes": NODES._replace(threshold=NODES.threshold[1:])},
+        r"threshold has shape \(3,\), expected \(4,\)",
     ),
-    "bounds_not_2d": (SPLIT, {"feature_bounds": [-1.0, 1.0, 0.0]}, r"feature_bounds must be a finite \(1, 2\) array"),
-    "bounds_not_finite": (SPLIT, {"feature_bounds": [[-1.0, np.inf]]}, r"feature_bounds must be a finite \(1, 2\) array"),
-    "bounds_ragged": (SPLIT, {"feature_bounds": [[-1.0, 1.0], [2.0]]}, r"feature_bounds must be a finite \(1, 2\) array"),
-    "bounds_strings": (SPLIT, {"feature_bounds": [["low", "high"]]}, r"feature_bounds must be .* of numbers"),
-    "bounds_numeric_strings": (SPLIT, {"feature_bounds": [["-1", "1.5"]]}, r"feature_bounds must be .* of numbers"),
-    "threshold_short": (SPLIT._replace(threshold=np.array([0.5])), {}, r"tree 1: threshold has shape \(1,\), expected \(3,\)"),
-    "feature_0d": (build_tree(leaf([1.0]))._replace(feature=np.array(-1)), {}, r"tree 1: feature has shape \(\), expected \(0,\)"),
+    "feature_0d": ({"nodes": NODES._replace(feature=np.array(-1))}, r"feature has shape \(\), expected \(4,\)"),
     "feature_float": (
-        SPLIT._replace(feature=SPLIT.feature.astype(np.float64)),
-        {},
-        "tree 1: feature holds float64 values, expected integers",
+        {"nodes": NODES._replace(feature=NODES.feature.astype(np.float64))},
+        "feature holds float64 values, expected integers",
     ),
-    "left_float": (SPLIT._replace(left=SPLIT.left.astype(np.float64)), {}, "tree 1: left holds float64 values, expected integers"),
+    "left_float": (
+        {"nodes": NODES._replace(left=NODES.left.astype(np.float64))},
+        "left holds float64 values, expected integers",
+    ),
     "value_complex": (
-        SPLIT._replace(value=SPLIT.value.astype(np.complex128)),
-        {},
-        "tree 1: value holds complex128 values, expected numbers",
+        {"nodes": NODES._replace(value=NODES.value.astype(np.complex128))},
+        "value holds complex128 values, expected numbers",
     ),
     "sample_count_bool": (
-        SPLIT._replace(sample_count=SPLIT.sample_count.astype(bool)),
-        {},
-        "tree 1: sample_count holds bool values, expected integers",
+        {"nodes": NODES._replace(sample_count=NODES.sample_count.astype(bool))},
+        "sample_count holds bool values, expected integers",
     ),
     # one string of one character per name, which would split into valid names
-    "feature_names_str": (SPLIT, {"feature_names": "f"}, "feature_names must be a sequence of strings"),
-    "target_names_str": (SPLIT, {"target_names": "t"}, "target_names must be a sequence of strings"),
-    "feature_names_not_strings": (SPLIT, {"feature_names": (0,)}, "feature_names must be a sequence of strings"),
-    "target_names_not_strings": (SPLIT, {"target_names": [b"t0"]}, "target_names must be a sequence of strings"),
+    "feature_names_str": ({"feature_names": "f"}, "feature_names must be a sequence of strings"),
+    "target_names_str": ({"target_names": "t"}, "target_names must be a sequence of strings"),
+    "feature_names_not_strings": ({"feature_names": (0,)}, "feature_names must be a sequence of strings"),
+    "target_names_not_strings": ({"target_names": [b"t0"]}, "target_names must be a sequence of strings"),
     "n_estimators_not_tree_count": (
-        SPLIT,
         {"config": ForestConfig(n_estimators=3)},
         "config.n_estimators is 3, but the forest has 2 trees",
     ),
@@ -634,17 +637,18 @@ FOREST_FAULTS = {
 
 @pytest.mark.parametrize("case", list(FOREST_FAULTS))
 def test_forest_checks_array_shapes_as_load_does(case):
-    tree, changes, message = FOREST_FAULTS[case]
+    changes, message = FOREST_FAULTS[case]
     arguments = {
+        "nodes": NODES,
+        "node_counts": NODE_COUNTS,
         "config": ForestConfig(n_estimators=2),
         "feature_names": ("f0",),
         "target_names": ("t0",),
         "feature_bounds": [[-1.0, 1.0]],
         **changes,
     }
-    first = build_tree(leaf(np.zeros(len(arguments["target_names"]))))  # valid for the targets given
-    with pytest.raises(ModelError, match=message):
-        Forest(trees=[first, tree], **arguments)
+    with pytest.raises(ModelError, match="^" + message):  # whole arrays: no tree named first
+        Forest(**arguments)
 
 
 # one dtype per numpy kind: bool, signed, unsigned, float, complex, str and object
@@ -652,54 +656,59 @@ KIND_DTYPES = {"b": np.bool_, "i": np.int32, "u": np.uint8, "f": np.float32, "c"
 
 
 @st.composite
-def tree_with_one_array_replaced(draw, valid):
-    """``valid`` with one node array of any kind: its values cast, or any values of any shape."""
-    name = draw(st.sampled_from(Tree._fields))
-    array, dtype = getattr(valid, name), KIND_DTYPES[draw(st.sampled_from(sorted(KIND_DTYPES)))]
+def arrays_with_one_replaced(draw, nodes, node_counts):
+    """``nodes`` and ``node_counts`` with one array of any kind: its values cast, or any values of any shape."""
+    arrays = {**nodes._asdict(), "node_counts": np.asarray(node_counts)}
+    name = draw(st.sampled_from(list(arrays)))
+    array, dtype = arrays[name], KIND_DTYPES[draw(st.sampled_from(sorted(KIND_DTYPES)))]
     if draw(st.booleans()):
-        return valid._replace(**{name: array.astype(dtype)})
-    shape = draw(st.just(array.shape) | hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
-    elements = st.integers(-3, 3) | st.floats() | st.none() if dtype is object else None
-    return valid._replace(**{name: draw(hnp.arrays(dtype, shape, elements=elements))})
+        arrays[name] = array.astype(dtype)
+    else:
+        shape = draw(st.just(array.shape) | hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+        elements = st.integers(-3, 3) | st.floats() | st.none() if dtype is object else None
+        arrays[name] = draw(hnp.arrays(dtype, shape, elements=elements))
+    node_counts = arrays.pop("node_counts")
+    return Tree(**arrays), node_counts
 
 
 VALID_TREE = build_tree(split(1, 0.5, leaf([1.0, 2.0]), split(0, -0.5, leaf([3.0, 4.0]), leaf([5.0, 6.0]))))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(tree=tree_with_one_array_replaced(VALID_TREE))
-def test_forest_of_arrays_of_any_kind_and_shape_predicts_or_fails_cleanly(tree):
+@given(arrays=arrays_with_one_replaced(*pack([VALID_TREE, VALID_TREE])))
+def test_forest_of_arrays_of_any_kind_and_shape_predicts_or_fails_cleanly(arrays):
+    nodes, node_counts = arrays
     try:
-        forest = Forest([VALID_TREE, tree], ForestConfig(n_estimators=2), ("f0", "f1"), ("t0", "t1"), [[-1.0, 1.0]] * 2)
+        forest = Forest(nodes, node_counts, ForestConfig(n_estimators=2), ("f0", "f1"), ("t0", "t1"), [[-1.0, 1.0]] * 2)
     except ModelError:
         return
     assert np.isfinite(predict(forest, np.zeros(2))).all()
 
 
 def test_tree_fields_are_the_model_arrays_in_order():
-    # Forest packs trees field by field, and save and load name the fields by _TREE_ARRAYS
+    # Forest takes its node table field by field, and save and load name the fields by _TREE_ARRAYS
     assert Tree._fields == tuple(forest_module._TREE_ARRAYS)
 
 
 def test_building_a_forest_leaves_the_callers_trees_alone():
-    trees = [build_tree(split(0, 0.5, leaf([1.0]), leaf([2.0]))), build_tree(leaf([3.0]))]
-    originals = [[getattr(tree, name) for name in TREE_ARRAYS] for tree in trees]
-    copies = [[array.copy() for array in arrays] for arrays in originals]
+    nodes, node_counts = pack([build_tree(split(0, 0.5, leaf([1.0]), leaf([2.0]))), build_tree(leaf([3.0]))])
+    node_counts = np.array(node_counts)
+    copies = [array.copy() for array in (*nodes, node_counts)]
     bounds = np.array([[-1.0, 1.0]])
     forest = Forest(
-        trees=trees,
+        nodes=nodes,
+        node_counts=node_counts,
         config=ForestConfig(n_estimators=2),
         feature_names=("f0",),
         target_names=("t0",),
         feature_bounds=bounds,
     )
     assert bounds.flags.writeable and not np.shares_memory(bounds, forest.feature_bounds)
-    for tree, arrays, saved in zip(trees, originals, copies):
-        for name, original, copy in zip(TREE_ARRAYS, arrays, saved):
-            assert getattr(tree, name) is original
-            assert original.flags.writeable
-            np.testing.assert_array_equal(original, copy)
-            assert not np.shares_memory(original, getattr(forest, name))
+    for original, copy in zip((*nodes, node_counts), copies):
+        assert original.flags.writeable
+        np.testing.assert_array_equal(original, copy)
+    for name in TREE_ARRAYS:
+        assert not np.shares_memory(getattr(nodes, name), getattr(forest, name)), name
 
 
 def test_packed_node_table_is_read_only_and_trees_are_its_views():
