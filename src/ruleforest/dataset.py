@@ -100,60 +100,70 @@ def load_csv(path, target_columns, missing_policy: str = "zero_fill") -> Dataset
         raise DatasetError(f"unknown missing policy {missing_policy!r}")
     target_columns = list(target_columns)
     with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of a name
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            raw_rows = [row for row in reader if row]
-        except csv.Error as exc:  # a cell longer than the csv module's field limit, for one
-            raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
-    if header is None:
-        raise DatasetError(f"{path}: empty file")
-    header = [name.strip() for name in header]
-    if "" in header:
-        raise DatasetError(f"{path}: column {header.index('') + 1} has a blank name in the header")
-    if len(set(header)) < len(header):
-        repeated = next(name for i, name in enumerate(header) if name in header[:i])
-        raise DatasetError(f"{path}: column {repeated!r} appears more than once in the header")
-    for name in target_columns:
-        if name not in header:
-            raise DatasetError(f"unknown target column {name!r}")
-    feature_names = [name for name in header if name not in target_columns]
-    if not feature_names:
-        raise DatasetError("no feature columns left after removing targets")
-    col_of = {name: i for i, name in enumerate(header)}
+        rows = _numbered_rows(csv.reader(fh), path)
+        _, header = next(rows, (None, None))
+        if header is None:
+            raise DatasetError(f"{path}: empty file")
+        header = [name.strip() for name in header]
+        if "" in header:
+            raise DatasetError(f"{path}: column {header.index('') + 1} has a blank name in the header")
+        if len(set(header)) < len(header):
+            repeated = next(name for i, name in enumerate(header) if name in header[:i])
+            raise DatasetError(f"{path}: column {repeated!r} appears more than once in the header")
+        for name in target_columns:
+            if name not in header:
+                raise DatasetError(f"unknown target column {name!r}")
+        feature_names = [name for name in header if name not in target_columns]
+        if not feature_names:
+            raise DatasetError("no feature columns left after removing targets")
+        col_of = {name: i for i, name in enumerate(header)}
 
-    parsed = []
-    for lineno, row in enumerate(raw_rows, start=2):
-        if len(row) != len(header):
-            raise DatasetError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-        values = []
-        has_missing = False
-        for name in feature_names + target_columns:
-            cell = row[col_of[name]].strip()
-            if cell == "":
-                has_missing = True
-                values.append(np.nan)
+        parsed = []
+        for lineno, row in rows:
+            if not row:  # a blank line
                 continue
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise DatasetError(
-                    f"{path}:{lineno}: non-numeric value {cell!r} in column {name!r} "
-                    "(categorical columns are not supported)"
-                ) from None
-        if has_missing:
-            if missing_policy == "error":
-                raise DatasetError(f"{path}:{lineno}: missing value")
-            if missing_policy == "drop_row":
-                continue
-            values = [0.0 if np.isnan(v) else v for v in values]
-        parsed.append(values)
+            if len(row) != len(header):
+                raise DatasetError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+            values = []
+            has_missing = False
+            for name in feature_names + target_columns:
+                cell = row[col_of[name]].strip()
+                if cell == "":
+                    has_missing = True
+                    values.append(np.nan)
+                    continue
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise DatasetError(
+                        f"{path}:{lineno}: non-numeric value {cell!r} in column {name!r} "
+                        "(categorical columns are not supported)"
+                    ) from None
+            if has_missing:
+                if missing_policy == "error":
+                    raise DatasetError(f"{path}:{lineno}: missing value")
+                if missing_policy == "drop_row":
+                    continue
+                values = [0.0 if np.isnan(v) else v for v in values]
+            parsed.append(values)
 
     if not parsed:
         raise DatasetError(f"{path}: no usable rows after applying {missing_policy}")
     data = np.asarray(parsed, dtype=np.float64)
     d = len(feature_names)
     return Dataset(data[:, :d], data[:, d:], feature_names, target_columns)
+
+
+def _numbered_rows(reader, path):
+    """Each row ``reader`` yields, blank ones too, with the physical line it
+    starts on, so a row whose quoted cell spans lines is named by its first."""
+    start = 1
+    try:
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:  # a cell longer than the csv module's field limit, for one
+        raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def save_csv(dataset: Dataset, path) -> None:

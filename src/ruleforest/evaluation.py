@@ -87,8 +87,9 @@ def run_experiment(
     The batch's rules equal ``explain``'s, and its consequent values are the
     model's predictions for the test rows, as ``predict_batch`` gives them.
     One comparison per budget gives every rule's coverage mask of the test
-    split; ``compose_rule`` widens a rule's box to its instance, so no mask
-    is empty. Each rule's coverage, precision against the predictions and
+    split, and one mean along its rows every rule's coverage;
+    ``compose_rule`` widens a rule's box to its instance, so no mask is
+    empty. Each rule's coverage, precision against the predictions and
     against the targets, and length are added to the budget's sums one rule
     at a time, in test-row order, as ``coverage``, ``rule_precision``,
     ``rule_precision_truth`` and ``rule_length`` give them.
@@ -99,9 +100,12 @@ def run_experiment(
         model = fit(data.subset(plan.train_rows(fold)), config)
         test = data.subset(plan.test_rows(fold))
         for i, rules in enumerate(explain_batch(model, test.features, allowed_errors, min_support)):
-            for mask, consequent, length in zip(rules.covers(test.features), rules.values, rules.lengths.tolist()):
+            masks = rules.covers(test.features)
+            for mask, cover, consequent, length in zip(
+                masks, masks.mean(axis=1).tolist(), rules.values, rules.lengths.tolist()
+            ):
                 sums[i] += (
-                    mask.mean(),
+                    cover,
                     _mean_gap(consequent, rules.values[mask]),
                     _mean_gap(consequent, test.targets[mask]),
                     length,

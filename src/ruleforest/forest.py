@@ -5,9 +5,12 @@ arrays (a ``Tree``), and each tree's node count. Growing is exact CART:
 each node runs one split search over all of its candidate features at once
 (one sort of the candidate columns and one set of cumulative target sums),
 and a tree grows depth first from an explicit stack, in the order that
-fixes which candidates each node draws; ``fit`` concatenates the grown
-trees once. ``Forest`` copies the table read-only, with one root offset per
-tree. For the walks, child links become global node indices, leaves link to
+fixes which candidates each node draws. Every tree of a ``fit`` grows into
+the same buffers and is copied straight into the node table, whose arrays
+grow geometrically and are trimmed once at the end. ``Forest(...)`` copies
+the table it is given; the forests ``fit`` and ``load`` build keep the
+arrays they made instead, as no one else holds them. Either way the table
+is read-only, with one root offset per tree. For the walks, child links become global node indices, leaves link to
 themselves, so a fixed number of steps (the deepest tree's depth) routes
 every (tree, row) pair to its leaf. ``Forest.walk`` takes those steps for
 all trees at once, one depth level per step, over a (trees, rows) node array
@@ -171,7 +174,8 @@ class Forest:
     nodes back to back, and ``node_counts`` each tree's node count; tree
     ``t`` starts at node ``roots[t]``, and ``left``/``right`` keep in-tree
     indices. Building the forest checks and copies each whole array once,
-    leaving the caller's as they were; it keeps no per-tree object, and
+    leaving the caller's as they were (``fit`` and ``load`` hand over arrays
+    of their own, which are kept, not copied); it keeps no per-tree object, and
     ``trees`` makes read-only ``Tree`` views when read. The node arrays and
     every table built from them (``roots``, ``depths``, the leaf extremes, the
     child links the walks follow, ``feature_bounds`` and ``leaf_boxes``) are
@@ -179,6 +183,18 @@ class Forest:
     """
 
     def __init__(self, nodes: Tree, node_counts, config: ForestConfig, feature_names, target_names, feature_bounds):
+        self._build(nodes, node_counts, config, feature_names, target_names, feature_bounds, copy=True)
+
+    @classmethod
+    def _owning(cls, nodes: Tree, node_counts, config: ForestConfig, feature_names, target_names, feature_bounds):
+        """The forest ``Forest(...)`` builds from the same arguments, but keeping
+        the node arrays themselves, made read-only, where they have the schema's
+        dtype. Only for arrays no caller holds: those ``fit`` and ``load`` make."""
+        forest = cls.__new__(cls)
+        forest._build(nodes, node_counts, config, feature_names, target_names, feature_bounds, copy=False)
+        return forest
+
+    def _build(self, nodes, node_counts, config, feature_names, target_names, feature_bounds, copy: bool):
         try:
             counts, arrays = np.asarray(node_counts), dict(zip(_TREE_ARRAYS, map(np.asarray, nodes), strict=True))
         except ValueError as exc:  # a ragged list
@@ -215,40 +231,48 @@ class Forest:
                 raise ModelError(f"{name} has shape {array.shape}, expected {expected}")
             if array.dtype.kind not in _HOLDS[holds]:
                 raise ModelError(f"{name} holds {array.dtype} values, expected {holds}")
-            packed.append(_read_only(array.astype(dtype)))  # a copy: the caller's array stays as it is
+            packed.append(_read_only(array.astype(dtype, copy=copy)))  # copied unless the caller gave it away
         self.feature, self.threshold, self.left, self.right, self.value, self.sample_count = packed
         sizes = np.array(sizes)
         self.roots = _read_only(np.concatenate([[0], np.cumsum(sizes)[:-1]]))  # (T,) first node of each tree
-        tree_of = np.repeat(np.arange(self.n_trees), sizes)
-        node = np.arange(self.feature.shape[0])
         leaf = self.feature == LEAF
-        offset = self.roots[tree_of]
-        left = np.where(leaf, node, self.left + offset)
-        right = np.where(leaf, node, self.right + offset)
-        end = offset + sizes[tree_of]
-        faults = (
-            (~leaf & ((self.feature < 0) | (self.feature >= self.d)), f"feature index outside [0, {self.d})"),
-            (~leaf & ((left <= node) | (left >= end)), "left child outside (node, tree end)"),
-            (~leaf & ((right <= node) | (right >= end)), "right child outside (node, tree end)"),
-            (~(np.isfinite(self.threshold) & np.isfinite(self.value).all(axis=1)), "non-finite threshold or value"),
+        # (2N,): node i's right child at 2i and left child at 2i + 1, as global ids; leaves link to themselves
+        children = np.empty(2 * n_nodes, dtype=np.int64)
+        children[0::2], children[1::2] = self.right, self.left
+        pairs, right, left = children.reshape(n_nodes, 2), children[0::2], children[1::2]
+        pairs += np.repeat(self.roots, sizes)[:, None]
+        node, end = np.arange(n_nodes), np.repeat(self.roots + sizes, sizes)
+        faults = (  # each mask is made once the one before it has passed, so one is alive at a time
+            (f"feature index outside [0, {self.d})", lambda: ~leaf & ((self.feature < 0) | (self.feature >= self.d))),
+            ("left child outside (node, tree end)", lambda: ~leaf & ((left <= node) | (left >= end))),
+            ("right child outside (node, tree end)", lambda: ~leaf & ((right <= node) | (right >= end))),
+            (
+                "non-finite threshold or value",
+                lambda: ~(np.isfinite(self.threshold) & np.isfinite(self.value).all(axis=1)),
+            ),
         )
-        for bad, fault in faults:
+        for fault, test in faults:
+            bad = test()
             if bad.any():
-                raise ModelError(f"tree {int(tree_of[np.argmax(bad)])}: {fault}")
-        # (2N,): node i's right child at 2i and left child at 2i + 1, as global ids
-        self._children = _read_only(np.column_stack([right, left]).ravel())
+                tree = int(np.searchsorted(self.roots, np.argmax(bad), side="right")) - 1
+                raise ModelError(f"tree {tree}: {fault}")
+        del node, end
+        leaves = np.flatnonzero(leaf)
+        pairs[leaves] = leaves[:, None]
+        self._children = _read_only(children)
         # (T, m) lowest and highest leaf value per tree; children lie after their parent,
-        # so each tree's last node is a leaf
-        self.leaf_min = _read_only(np.minimum.reduceat(np.where(leaf[:, None], self.value, np.inf), self.roots))
-        self.leaf_max = _read_only(np.maximum.reduceat(np.where(leaf[:, None], self.value, -np.inf), self.roots))
+        # so each tree's last node is a leaf, and every tree has a leaf row
+        leaf_value, starts = self.value[leaves], np.searchsorted(leaves, self.roots)
+        self.leaf_min = _read_only(np.minimum.reduceat(leaf_value, starts))
+        self.leaf_max = _read_only(np.maximum.reduceat(leaf_value, starts))
+        del leaf_value
         depths = np.zeros(self.n_trees, dtype=np.int64)
-        frontier, level = np.zeros(node.shape, dtype=bool), 0
-        frontier[self.roots] = True
-        while frontier.any():  # ends because children lie after their parent
-            depths[tree_of[frontier]] = level
-            inner = frontier & ~leaf
-            frontier = np.zeros(node.shape, dtype=bool)
-            frontier[left[inner]] = frontier[right[inner]] = True
+        frontier, level = self.roots, 0
+        while frontier.size:  # ends because children lie after their parent
+            depths[np.searchsorted(self.roots, frontier, side="right") - 1] = level
+            reached = np.zeros(n_nodes, dtype=bool)  # so a node two parents share is walked once
+            reached[pairs[frontier[~leaf[frontier]]]] = True
+            frontier = np.flatnonzero(reached)
             level += 1
         self.depths = _read_only(depths)  # (T,) longest root-to-leaf path
 
@@ -427,8 +451,17 @@ def _best_split(X, Y, rows, candidates, min_leaf, target_scale):
     return int(candidates[j]), float(0.5 * (xs[i, j] + xs[i + 1, j]))
 
 
-def _grow_tree(X, Y, config: ForestConfig, rng, target_scale) -> Tree:
-    """Grow one tree depth first from an explicit stack of (node, rows, depth).
+def _grow_buffers(n: int, m: int) -> Tree:
+    """Node arrays for one tree grown from ``n`` rows; every leaf holds at
+    least one row, so such a tree has at most 2n - 1 nodes."""
+    size = 2 * n - 1
+    return Tree(*(np.empty((size, m) if per_target else size, dtype) for _, dtype, per_target in _TREE_ARRAYS.values()))
+
+
+def _grow_tree(X, Y, config: ForestConfig, rng, target_scale, buffers: Tree) -> Tree:
+    """Grow one tree depth first from an explicit stack of (node, rows, depth),
+    into ``buffers`` (from ``_grow_buffers``), and return views of the nodes
+    used. The next tree grown into the same buffers overwrites them.
 
     Nodes are searched in pre-order, left subtree before right, and a split
     numbers its two children when it is made; the candidate features a node
@@ -437,13 +470,9 @@ def _grow_tree(X, Y, config: ForestConfig, rng, target_scale) -> Tree:
     n, d = X.shape
     k_feats = config.features_per_split(d)
     min_leaf = config.min_samples_leaf
-    size = 2 * n - 1  # every leaf holds at least one row
-    feature = np.full(size, LEAF, dtype=np.int64)
-    threshold = np.zeros(size)
-    left = np.full(size, -1, dtype=np.int64)
-    right = np.full(size, -1, dtype=np.int64)
-    value = np.zeros((size, Y.shape[1]))
-    count = np.zeros(size, dtype=np.int64)
+    feature, threshold, left, right, value, count = buffers
+    for array, blank in zip(buffers, (LEAF, 0.0, -1, -1, 0.0, 0)):
+        array.fill(blank)
     n_nodes = 1
     stack = [(0, np.arange(n), 0)]
     while stack:
@@ -463,7 +492,7 @@ def _grow_tree(X, Y, config: ForestConfig, rng, target_scale) -> Tree:
         go_left = X[rows, f] <= thr
         stack.append((n_nodes - 1, rows[~go_left], depth + 1))
         stack.append((n_nodes - 2, rows[go_left], depth + 1))
-    return Tree(*(array[:n_nodes].copy() for array in (feature, threshold, left, right, value, count)))
+    return Tree(*(array[:n_nodes] for array in buffers))
 
 
 def fit(train, config: ForestConfig) -> Forest:
@@ -476,6 +505,10 @@ def fit(train, config: ForestConfig) -> Forest:
     vectorised split search over its candidate features (``_best_split``);
     it picks the split a scan of one feature at a time would pick, ties
     included, so the trees are exact CART trees.
+
+    Every tree grows into the same buffers and is copied straight into the
+    node table, whose arrays grow geometrically and are trimmed once at the
+    end; the forest keeps them without copying the table again.
     """
     X, Y = train.features, train.targets
     n = X.shape[0]
@@ -485,14 +518,31 @@ def fit(train, config: ForestConfig) -> Forest:
     if config.normalize_targets:
         scale = Y.var(axis=0)
         scale = np.where(scale > 0, scale, 1.0)
-    trees = []
+    buffers = _grow_buffers(n, Y.shape[1])
+    table = _grow_buffers(n, Y.shape[1])  # room for the first tree
+    counts = np.empty(config.n_estimators, dtype=np.int64)
+    used = 0
     for t in range(config.n_estimators):
         rng = np.random.default_rng([config.seed, t])
         rows = rng.integers(0, n, size=n) if config.bootstrap else slice(None)
-        trees.append(_grow_tree(X[rows], Y[rows], config, rng, scale))
+        tree = _grow_tree(X[rows], Y[rows], config, rng, scale, buffers)
+        counts[t] = tree.n_nodes
+        if used + tree.n_nodes > table.feature.shape[0]:
+            _resize(table, max(2 * table.feature.shape[0], used + tree.n_nodes))
+        for array, part in zip(table, tree):
+            array[used : used + tree.n_nodes] = part
+        used += tree.n_nodes
+    del buffers, tree  # so that the forest's checks do not run beside them
+    _resize(table, used)
     bounds = np.column_stack([X.min(axis=0), X.max(axis=0)])
-    nodes = Tree(*map(np.concatenate, zip(*trees)))
-    return Forest(nodes, [tree.n_nodes for tree in trees], config, train.feature_names, train.target_names, bounds)
+    return Forest._owning(table, counts, config, train.feature_names, train.target_names, bounds)
+
+
+def _resize(table: Tree, size: int) -> None:
+    """Give every array of a node table ``size`` rows, in place, keeping the
+    rows both sizes share; the arrays must be referenced nowhere else."""
+    for array in table:
+        array.resize((size, *array.shape[1:]), refcheck=False)
 
 
 def evaluate_mae(forest: Forest, data) -> tuple[np.ndarray, float]:
@@ -630,6 +680,6 @@ def load(path) -> Forest:
         except _CORRUPT as exc:  # undecodable bytes, malformed or too deeply nested JSON, a broken zip
             raise ModelError(f"{path}: corrupt model file ({str(exc) or type(exc).__name__})") from None
     try:
-        return Forest(nodes, counts, config, *fields)
+        return Forest._owning(nodes, counts, config, *fields)
     except ModelError as exc:
         raise ModelError(f"{path}: {exc}") from None

@@ -378,7 +378,7 @@ def check_conclusive(
     x = forest._check_vector(x)
     lo, hi, lo_open = rule.box(forest.d)
     empty = (lo > hi) | (lo_open & (lo == hi))
-    outside = ~rule.contains(x)
+    outside = ~_in_box(x, lo, hi, lo_open)
     for bad, fault in ((empty, "is empty"), (outside, "excludes the instance")):
         if bad.any():
             f = int(np.argmax(bad))

@@ -113,6 +113,20 @@ def test_cell_over_the_csv_field_limit_rejected(tmp_path):
         load_csv(path, ["t"])
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("a,t\n1,2\n\n3,x\n", 4),  # after a blank line
+        ('a,t\n"1\n",2\n3,x\n', 4),  # after a row whose quoted cell spans two lines
+        ('a,t\n"1\n",2\n4,"x\ny"\n', 4),  # a row that spans lines is named by the line it starts on
+        ("a,t\r\n1,2\r\n\r\n\r\n3,x\r\n", 5),
+    ],
+)
+def test_row_error_names_the_physical_line(tmp_path, text, line):
+    with pytest.raises(DatasetError, match=rf"data\.csv:{line}: non-numeric value"):
+        load_csv(write(tmp_path, text), ["t"])
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(DatasetError, match="duplicate"):
         Dataset(np.ones((2, 2)), np.ones((2, 1)), ("a", "a"), ("t",))

@@ -711,6 +711,62 @@ def test_building_a_forest_leaves_the_callers_trees_alone():
         assert not np.shares_memory(getattr(nodes, name), getattr(forest, name)), name
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_fit_and_load_peak_below_two_and_a_half_node_tables(tmp_path):
+    path = tmp_path / "m.model"
+    save(fit(make_synthetic(20, 8, 3, seed=1), ForestConfig(n_estimators=2, seed=1)), path)
+    load(path)  # so that no import made on first use is traced below
+    data = make_synthetic(300, 8, 3, seed=1)
+    forest, fit_peak = _traced_peak(lambda: fit(data, ForestConfig(n_estimators=100, min_samples_leaf=5, seed=1)))
+    table = sum(getattr(forest, name).nbytes for name in Tree._fields)
+    assert table >= 500_000
+    save(forest, path)
+    _, load_peak = _traced_peak(lambda: load(path))
+    # the table once, its child links, the split search's and the checks' temporaries
+    assert fit_peak < 2.5 * table, fit_peak / table
+    assert load_peak < 2.5 * table, load_peak / table
+
+
+def test_fit_and_load_build_the_forest_a_copying_build_makes(tmp_path):
+    forest = fit(make_synthetic(60, 4, 2, seed=3), ForestConfig(n_estimators=6, max_features="all", seed=3))
+    path = tmp_path / "m.model"
+    save(forest, path)
+    derived = ("roots", "depths", "_children", "leaf_min", "leaf_max", "feature_bounds")
+
+    def tables(built):
+        return {name: getattr(built, name) for name in (*Tree._fields, *derived)} | built.leaf_boxes._asdict()
+
+    for built in (forest, load(path)):
+        copied = Forest(
+            Tree(*(getattr(built, name).copy() for name in Tree._fields)),
+            np.diff(built.roots, append=built.feature.shape[0]),
+            built.config,
+            built.feature_names,
+            built.target_names,
+            built.feature_bounds.copy(),
+        )
+        got, expected = tables(built), tables(copied)
+        assert got.keys() == expected.keys()
+        for name, array in got.items():
+            other = expected[name]
+            assert (array.dtype, array.shape, array.tobytes()) == (other.dtype, other.shape, other.tobytes()), name
+            assert not array.flags.writeable and not other.flags.writeable, name
+        assert (built.config, built.feature_names, built.target_names) == (
+            copied.config,
+            copied.feature_names,
+            copied.target_names,
+        )
+
+
 def test_packed_node_table_is_read_only_and_trees_are_its_views():
     forest = fit(make_synthetic(40, 3, 2, seed=1), ForestConfig(n_estimators=4, seed=0))
     extract_paths(forest, np.full(3, 0.7))  # builds the leaf boxes from the table
@@ -845,7 +901,8 @@ def _reference_best_split(X, Y, candidates, min_leaf, target_scale):
     return best
 
 
-def _reference_grow_tree(X, Y, config, rng, target_scale):
+def _reference_grow_tree(X, Y, config, rng, target_scale, buffers):
+    del buffers  # the reference builds its own arrays
     if target_scale is None:
         target_scale = np.ones(Y.shape[1])
     d = X.shape[1]
