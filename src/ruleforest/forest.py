@@ -30,8 +30,8 @@ node count, one per ``config.n_estimators``, distinct string names, at
 least one target, finite (d, 2) feature bounds of numbers, node arrays of
 the shape, element kind and dtype the node schema ``_TREE_ARRAYS`` gives
 (shape first, kind second, cast last), features in range, children after
-their parent inside the same tree, finite numbers. So the walk ends on every
-forest that can be built.
+their parent in the same tree, every node but a root the child of exactly
+one node, finite numbers. So the walks end, and each leaf has one root path.
 
 ``save`` writes model format v2: a zip of stored members, ``header.json``
 (format, version, config, names, bounds), one ``.npy`` per node array of
@@ -173,13 +173,14 @@ class Forest:
     ``nodes`` holds the six node arrays of ``_TREE_ARRAYS``, every tree's
     nodes back to back, and ``node_counts`` each tree's node count; tree
     ``t`` starts at node ``roots[t]``, and ``left``/``right`` keep in-tree
-    indices. Building the forest checks and copies each whole array once,
-    leaving the caller's as they were (``fit`` and ``load`` hand over arrays
-    of their own, which are kept, not copied); it keeps no per-tree object, and
-    ``trees`` makes read-only ``Tree`` views when read. The node arrays and
-    every table built from them (``roots``, ``depths``, the leaf extremes, the
-    child links the walks follow, ``feature_bounds`` and ``leaf_boxes``) are
-    read-only, so none of them can fall out of step with the others.
+    indices. Building the forest checks that the table holds trees, every
+    node but a root the child of exactly one node, and copies each whole
+    array once, leaving the caller's as they were (``fit`` and ``load`` hand
+    over arrays of their own, which are kept, not copied); it keeps no
+    per-tree object, and ``trees`` makes read-only ``Tree`` views when read.
+    The node arrays and every table built from them (``roots``, ``depths``,
+    the leaf extremes, the child links the walks follow, ``feature_bounds``
+    and ``leaf_boxes``) are read-only, so none can fall out of step.
     """
 
     def __init__(self, nodes: Tree, node_counts, config: ForestConfig, feature_names, target_names, feature_bounds):
@@ -246,6 +247,10 @@ class Forest:
             (f"feature index outside [0, {self.d})", lambda: ~leaf & ((self.feature < 0) | (self.feature >= self.d))),
             ("left child outside (node, tree end)", lambda: ~leaf & ((left <= node) | (left >= end))),
             ("right child outside (node, tree end)", lambda: ~leaf & ((right <= node) | (right >= end))),
+            (  # children are now in range; a root counts once, as if it were its own child
+                "node other than the root not the child of exactly one node",
+                lambda: np.bincount(np.concatenate([pairs[~leaf].ravel(), self.roots]), minlength=n_nodes) != 1,
+            ),
             (
                 "non-finite threshold or value",
                 lambda: ~(np.isfinite(self.threshold) & np.isfinite(self.value).all(axis=1)),
@@ -270,9 +275,7 @@ class Forest:
         frontier, level = self.roots, 0
         while frontier.size:  # ends because children lie after their parent
             depths[np.searchsorted(self.roots, frontier, side="right") - 1] = level
-            reached = np.zeros(n_nodes, dtype=bool)  # so a node two parents share is walked once
-            reached[pairs[frontier[~leaf[frontier]]]] = True
-            frontier = np.flatnonzero(reached)
+            frontier = pairs[frontier[~leaf[frontier]]].ravel()
             level += 1
         self.depths = _read_only(depths)  # (T,) longest root-to-leaf path
 
@@ -383,8 +386,7 @@ class Forest:
 
 def predict(forest: Forest, x) -> np.ndarray:
     """Componentwise mean of the per-tree leaf predictions."""
-    x = forest._check_vector(x)
-    return forest.value[forest.walk(x[None, :])[:, 0]].sum(axis=0) / forest.n_trees
+    return predict_batch(forest, forest._check_vector(x)[None, :])[0]
 
 
 def predict_batch(forest: Forest, X) -> np.ndarray:
@@ -392,8 +394,8 @@ def predict_batch(forest: Forest, X) -> np.ndarray:
 
     Rows are walked in chunks of about WALK_CHUNK_ELEMENTS (tree, row) pairs,
     which keeps the walk's temporaries small. Each row's leaf values are
-    totalled as one (trees, m) block, the sum ``predict`` takes, so a row's
-    prediction does not depend on the rows that share its batch.
+    totalled as one (trees, m) block, so a row's prediction does not depend
+    on the rows that share its batch; ``predict`` is the one-row case.
     """
     X = forest._check_matrix(X)
     total = np.empty((X.shape[0], forest.m))
@@ -461,7 +463,7 @@ def _grow_buffers(n: int, m: int) -> Tree:
 def _grow_tree(X, Y, config: ForestConfig, rng, target_scale, buffers: Tree) -> Tree:
     """Grow one tree depth first from an explicit stack of (node, rows, depth),
     into ``buffers`` (from ``_grow_buffers``), and return views of the nodes
-    used. The next tree grown into the same buffers overwrites them.
+    used, which the next tree overwrites, setting all six fields of each node.
 
     Nodes are searched in pre-order, left subtree before right, and a split
     numbers its two children when it is made; the candidate features a node
@@ -471,8 +473,6 @@ def _grow_tree(X, Y, config: ForestConfig, rng, target_scale, buffers: Tree) -> 
     k_feats = config.features_per_split(d)
     min_leaf = config.min_samples_leaf
     feature, threshold, left, right, value, count = buffers
-    for array, blank in zip(buffers, (LEAF, 0.0, -1, -1, 0.0, 0)):
-        array.fill(blank)
     n_nodes = 1
     stack = [(0, np.arange(n), 0)]
     while stack:
@@ -483,11 +483,11 @@ def _grow_tree(X, Y, config: ForestConfig, rng, target_scale, buffers: Tree) -> 
             cand = np.arange(d) if k_feats >= d else np.sort(rng.choice(d, size=k_feats, replace=False))
             split = _best_split(X, Y, rows, cand, min_leaf, target_scale)
         if split is None:
+            feature[node], threshold[node], left[node], right[node] = LEAF, 0.0, -1, -1
             value[node] = Y[rows].mean(axis=0)
             continue
         f, thr = split
-        feature[node], threshold[node] = f, thr
-        left[node], right[node] = n_nodes, n_nodes + 1
+        feature[node], threshold[node], left[node], right[node], value[node] = f, thr, n_nodes, n_nodes + 1, 0.0
         n_nodes += 2
         go_left = X[rows, f] <= thr
         stack.append((n_nodes - 1, rows[~go_left], depth + 1))

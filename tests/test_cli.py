@@ -1,15 +1,17 @@
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import ruleforest.cli as cli_module
 from conftest import write_v1
-from ruleforest import Dataset, load, load_csv, make_synthetic, save, save_csv
+from ruleforest import Dataset, ForestConfig, load, load_csv, make_synthetic, save, save_csv
 from ruleforest.cli import main
+from ruleforest.forest import LEAF
 from ruleforest.reduction import MAX_PRECISION
-from test_forest import CORRUPTIONS
+from test_forest import CORRUPTIONS, _npy, _zip
 
 RULE_RE = re.compile(
     r"^(if (-?\d+\.\d+ <= \w+ <= -?\d+\.\d+)( & -?\d+\.\d+ <= \w+ <= -?\d+\.\d+)* )?"
@@ -400,6 +402,36 @@ def test_model_with_root_cycle_is_data_error(workspace, capsys, tmp_path):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("error:")
+
+
+def test_model_whose_nodes_share_a_child_is_data_error(capsys, tmp_path):
+    # a chain of 12 splits, each sending both children to the next node, so
+    # its one leaf has 2**12 root paths; a leaf's box assumes it has one
+    n = 13
+    following = np.append(np.arange(1, n), -1)
+    header = {
+        "format": "ruleforest-model",
+        "version": 2,
+        "config": asdict(ForestConfig(n_estimators=1)),
+        "feature_names": ["a"],
+        "target_names": ["t"],
+        "feature_bounds": [[0.0, 1.0]],
+    }
+    arrays = {
+        "feature": np.append(np.zeros(n - 1, dtype=np.int64), LEAF),
+        "threshold": np.full(n, 0.5),
+        "left": following,
+        "right": following,
+        "value": np.vstack([np.zeros((n - 1, 1)), [[1.0]]]),  # 0.0 at the splits, 1.0 at the leaf
+        "sample_count": np.ones(n, dtype=np.int64),
+        "node_counts": np.array([n]),
+    }
+    members = {"header.json": json.dumps(header).encode(), **{f"{k}.npy": _npy(v) for k, v in arrays.items()}}
+    chain = tmp_path / "chain.model"
+    chain.write_bytes(_zip(members))
+    code, out, err = run(capsys, ["explain", "--model", str(chain), "--instance", "0.5", "--allowed-error", "0.1"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {chain}: tree 0: node other than the root not the child of exactly one node"]
 
 
 @pytest.mark.parametrize(

@@ -19,11 +19,13 @@ from hypothesis.extra import numpy as hnp
 import ruleforest.forest as forest_module
 from conftest import build_forest, build_tree, leaf, pack, predict_tree, random_forest, split, write_v1
 from ruleforest import (
+    AllowedError,
     Dataset,
     Forest,
     ForestConfig,
     ModelError,
     evaluate_mae,
+    explain,
     extract_paths,
     fit,
     load,
@@ -475,6 +477,14 @@ def _swap(value):
     return swap
 
 
+def _predicts_and_explains(forest):
+    """What every forest a fuzzed model file loads as must do: predict finite
+    values, and explain the midpoint of its feature bounds by a rule that holds it."""
+    assert np.isfinite(predict(forest, np.zeros(forest.d))).all()
+    x = forest.feature_bounds.mean(axis=1)
+    assert explain(forest, x, AllowedError.global_mean(0.1)).rule.contains(x).all()
+
+
 FUZZ_VALUES = {"2**70": 2**70, "10**400": 10**400, "fraction": 0.5, "string": "x", "bool": True, "null": None, "list": [1], "dict": {"a": 1}}
 FUZZ_MUTATIONS = {"drop": _drop, "extend": _extend, **{f"swap {name}": _swap(value) for name, value in FUZZ_VALUES.items()}}
 
@@ -497,7 +507,7 @@ def test_mutated_model_file_fails_cleanly_or_predicts(tmp_path, capsys, location
     except ModelError:
         forest = None
     else:
-        assert np.isfinite(predict(forest, np.zeros(forest.d))).all()
+        _predicts_and_explains(forest)
     if mutation == "swap bool" and location[0] in ("trees", "feature_bounds", "version"):
         assert forest is None
     code = main(["inspect", "--model", str(path)])
@@ -557,7 +567,7 @@ def test_mutated_v2_model_file_fails_cleanly_or_predicts(tmp_path, capsys, data)
     except ModelError:
         forest = None
     else:
-        assert np.isfinite(predict(forest, np.zeros(forest.d))).all()
+        _predicts_and_explains(forest)
     code = main(["inspect", "--model", str(path)])
     err = capsys.readouterr().err
     assert code == (2 if forest is None else 0)
@@ -594,6 +604,7 @@ def test_forest_rejects_child_pointing_back_to_root():
 # a leaf, then a split: four nodes in two trees
 NODES, NODE_COUNTS = pack([build_tree(leaf([0.0])), build_tree(split(0, 0.5, leaf([1.0]), leaf([2.0])))])
 
+ONE_PARENT = "node other than the root not the child of exactly one node"
 # id: (the Forest arguments that replace the valid ones, the ModelError message)
 FOREST_FAULTS = {
     "value_narrower_than_targets": ({"target_names": ("t0", "t1")}, r"value has shape \(4, 1\), expected \(4, 2\)"),
@@ -632,6 +643,13 @@ FOREST_FAULTS = {
         {"config": ForestConfig(n_estimators=3)},
         "config.n_estimators is 3, but the forest has 2 trees",
     ),
+    # tree 1's split sends both children to its node 1, so its node 2 has no parent
+    "shared_child": ({"nodes": NODES._replace(right=np.array([-1, 1, -1, -1]))}, f"tree 1: {ONE_PARENT}"),
+    # tree 1 gains a fourth node, a copy of its last leaf that no node points at
+    "orphan_node": (
+        {"nodes": Tree(*(np.concatenate([array, array[-1:]]) for array in NODES)), "node_counts": [1, 4]},
+        f"tree 1: {ONE_PARENT}",
+    ),
 }
 
 
@@ -647,7 +665,7 @@ def test_forest_checks_array_shapes_as_load_does(case):
         "feature_bounds": [[-1.0, 1.0]],
         **changes,
     }
-    with pytest.raises(ModelError, match="^" + message):  # whole arrays: no tree named first
+    with pytest.raises(ModelError, match="^" + message):  # only a node fault names its tree
         Forest(**arguments)
 
 
