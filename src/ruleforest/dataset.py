@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,9 +93,10 @@ def load_csv(path, target_columns, missing_policy: str = "zero_fill") -> Dataset
     every remaining column becomes a feature, in header order. Empty cells are
     treated as missing and handled per ``missing_policy``: filled with 0.0
     (``zero_fill``), the whole row dropped (``drop_row``), or rejected
-    (``error``). Non-numeric cells are always rejected: categorical columns
-    are unsupported, and so is a header that leaves a column's name blank
-    or names one column twice.
+    (``error``). Non-numeric and non-finite cells (``nan``, ``inf``,
+    ``1e309``) are always rejected: categorical columns are unsupported, and
+    so is a header that leaves a column's name blank or names one column
+    twice.
     """
     if missing_policy not in MISSING_POLICIES:
         raise DatasetError(f"unknown missing policy {missing_policy!r}")
@@ -133,12 +135,15 @@ def load_csv(path, target_columns, missing_policy: str = "zero_fill") -> Dataset
                     values.append(np.nan)
                     continue
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DatasetError(
                         f"{path}:{lineno}: non-numeric value {cell!r} in column {name!r} "
                         "(categorical columns are not supported)"
                     ) from None
+                if not math.isfinite(value):  # 1e309 too, which parses as inf
+                    raise DatasetError(f"{path}:{lineno}: non-finite value {cell!r} in column {name!r}")
+                values.append(value)
             if has_missing:
                 if missing_policy == "error":
                     raise DatasetError(f"{path}:{lineno}: missing value")

@@ -1,6 +1,6 @@
 """Multi-output regression random forest with explainer-facing internals.
 
-A forest is one node table, every tree's nodes back to back in six flat
+A forest is one node table, every tree's nodes back to back in five flat
 arrays (a ``Tree``), and each tree's node count. Growing is exact CART:
 each node runs one split search over all of its candidate features at once
 (one sort of the candidate columns and one set of cumulative target sums),
@@ -33,22 +33,21 @@ the shape, element kind and dtype the node schema ``_TREE_ARRAYS`` gives
 their parent in the same tree, every node but a root the child of exactly
 one node, finite numbers. So the walks end, and each leaf has one root path.
 
-``save`` writes model format v2: a zip of stored members, ``header.json``
+``save`` writes model format v3: a zip of stored members, ``header.json``
 (format, version, config, names, bounds), one ``.npy`` per node array of
 ``_TREE_ARRAYS`` holding the packed array, and ``node_counts.npy``. ``load``
-reads v2 as one node table, and v1 (one JSON document of per-tree node
-lists) by concatenating the lists, telling them apart by the first bytes.
-It adds only what reading the file needs: for v1, no bool or string where
-numbers belong (numpy reads ``[1, true]`` as ``[1, 1]``) and every node
-list of a tree as long as its ``feature``; for v2, exactly the expected
-members, uncompressed, arrays read with ``allow_pickle=False`` whose
-headers declare the data their members hold.
+reads v3 and v2, which differs only by one more member, ``sample_count.npy``
+(each node's training rows, which nothing reads): it is read like any
+member and then dropped. A file that is not a zip, such as a v1 JSON file,
+is refused. ``load`` adds only what reading the file needs: exactly the
+members of the file's version, uncompressed, arrays read with
+``allow_pickle=False`` whose headers declare the data their members hold,
+and no bool or string in the header's bounds.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import json
 import math
@@ -62,10 +61,11 @@ from typing import NamedTuple
 import numpy as np
 
 MODEL_FORMAT = "ruleforest-model"
-MODEL_VERSION = 2  # the version save writes; load reads it and version 1
-_ZIP_MAGIC = b"PK\x03\x04"  # the first bytes of a v2 file
-_HEADER = "header.json"  # the v2 member that holds what v1 holds besides its trees
-_NODE_COUNTS = "node_counts"  # the v2 array of each tree's node count
+MODEL_VERSION = 3  # the version save writes; load reads it and version 2
+_ZIP_MAGIC = b"PK\x03\x04"  # the first bytes of a model file
+_HEADER = "header.json"  # the member that holds the config, names and bounds
+_NODE_COUNTS = "node_counts"  # the array of each tree's node count
+_V2_ONLY = "sample_count"  # the array a v2 file holds besides those of v3, which load drops
 
 LEAF = -1  # sentinel in the per-node feature array
 WALK_CHUNK_ELEMENTS = 8192  # (tree, row) pairs per predict_batch step
@@ -117,7 +117,7 @@ class ForestConfig:
 
 
 # The node schema, which ``Forest`` applies to the node table and ``save`` writes
-# as one v2 ``.npy`` member per array, in this order. Per array: what its elements
+# as one ``.npy`` member per array, in this order. Per array: what its elements
 # may be ("integers" or "numbers", as numpy kinds), the dtype it is cast to,
 # and whether it has one column per target, shape (n, m), rather than (n,).
 _HOLDS = {"integers": "i", "numbers": "if"}
@@ -127,13 +127,14 @@ _TREE_ARRAYS = {
     "left": ("integers", np.int64, False),
     "right": ("integers", np.int64, False),
     "value": ("numbers", np.float64, True),
-    "sample_count": ("integers", np.int64, False),
 }
 
 
 class Tree(NamedTuple):
-    """Node arrays in the order of ``_TREE_ARRAYS``, of one tree or of the
-    node table ``Forest`` takes. ``feature[i] == LEAF`` marks a leaf node.
+    """The five node arrays of ``_TREE_ARRAYS``, in its order, of one tree or
+    of the node table ``Forest`` takes: each node's split, its children and
+    its leaf values, all that the walks, the explainer and a model file use.
+    ``feature[i] == LEAF`` marks a leaf node.
 
     Routing convention: an instance with value <= threshold goes left,
     otherwise right. ``left``/``right`` are node indices within the node's
@@ -146,7 +147,6 @@ class Tree(NamedTuple):
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    sample_count: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -170,7 +170,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class Forest:
     """One read-only node table of every tree, and the tables derived from it.
 
-    ``nodes`` holds the six node arrays of ``_TREE_ARRAYS``, every tree's
+    ``nodes`` holds the five node arrays of ``_TREE_ARRAYS``, every tree's
     nodes back to back, and ``node_counts`` each tree's node count; tree
     ``t`` starts at node ``roots[t]``, and ``left``/``right`` keep in-tree
     indices. Building the forest checks that the table holds trees, every
@@ -223,7 +223,7 @@ class Forest:
             raise ModelError(f"feature_bounds must be a finite ({self.d}, 2) array of numbers")
         self.feature_bounds = _read_only(bounds.astype(np.float64, copy=False))  # (d, 2) training min/max
         # (N,) arrays in Tree's field order: split feature (LEAF at leaves), threshold, in-tree left and
-        # right child at inner nodes, (N, m) leaf predictions and the training rows that reached the node
+        # right child at inner nodes, and (N, m) leaf predictions (zeros at inner nodes)
         packed = []
         for name, array in arrays.items():
             holds, dtype, per_target = _TREE_ARRAYS[name]
@@ -233,7 +233,7 @@ class Forest:
             if array.dtype.kind not in _HOLDS[holds]:
                 raise ModelError(f"{name} holds {array.dtype} values, expected {holds}")
             packed.append(_read_only(array.astype(dtype, copy=copy)))  # copied unless the caller gave it away
-        self.feature, self.threshold, self.left, self.right, self.value, self.sample_count = packed
+        self.feature, self.threshold, self.left, self.right, self.value = packed
         sizes = np.array(sizes)
         self.roots = _read_only(np.concatenate([[0], np.cumsum(sizes)[:-1]]))  # (T,) first node of each tree
         leaf = self.feature == LEAF
@@ -450,7 +450,9 @@ def _best_split(X, Y, rows, candidates, min_leaf, target_scale):
     if not best[j] > 0.0:
         return None
     i = lo + int(pos[j])
-    return int(candidates[j]), float(0.5 * (xs[i, j] + xs[i + 1, j]))
+    a, b = float(xs[i, j]), float(xs[i + 1, j])  # the neighbouring values the split parts
+    mid = 0.5 * (a + b)  # or a, where it rounds to b or overflows, as scikit-learn's splitter does
+    return int(candidates[j]), mid if a <= mid < b else a
 
 
 def _grow_buffers(n: int, m: int) -> Tree:
@@ -463,7 +465,7 @@ def _grow_buffers(n: int, m: int) -> Tree:
 def _grow_tree(X, Y, config: ForestConfig, rng, target_scale, buffers: Tree) -> Tree:
     """Grow one tree depth first from an explicit stack of (node, rows, depth),
     into ``buffers`` (from ``_grow_buffers``), and return views of the nodes
-    used, which the next tree overwrites, setting all six fields of each node.
+    used, which the next tree overwrites, setting all five fields of each node.
 
     Nodes are searched in pre-order, left subtree before right, and a split
     numbers its two children when it is made; the candidate features a node
@@ -472,12 +474,11 @@ def _grow_tree(X, Y, config: ForestConfig, rng, target_scale, buffers: Tree) -> 
     n, d = X.shape
     k_feats = config.features_per_split(d)
     min_leaf = config.min_samples_leaf
-    feature, threshold, left, right, value, count = buffers
+    feature, threshold, left, right, value = buffers
     n_nodes = 1
     stack = [(0, np.arange(n), 0)]
     while stack:
         node, rows, depth = stack.pop()
-        count[node] = rows.shape[0]
         split = None
         if rows.shape[0] >= 2 * min_leaf and (config.max_depth is None or depth < config.max_depth):
             cand = np.arange(d) if k_feats >= d else np.sort(rng.choice(d, size=k_feats, replace=False))
@@ -555,7 +556,7 @@ def evaluate_mae(forest: Forest, data) -> tuple[np.ndarray, float]:
 
 
 def save(forest: Forest, path) -> None:
-    """Write the v2 model file to ``path`` exactly, whatever its name.
+    """Write the v3 model file to ``path`` exactly, whatever its name.
 
     It is a zip of stored (uncompressed) members: ``header.json`` with the
     format, version, config, names and bounds; one ``.npy`` member per node
@@ -589,58 +590,38 @@ def _member(name: str) -> zipfile.ZipInfo:
     return info
 
 
-def _numbers_only(values: list, nested: bool) -> bool:
-    """Whether a parsed JSON list (of lists, if ``nested``) holds only ints
-    and floats. numpy would read a bool beside numbers as 1 or 0, which no
-    later test of the array's kind could see."""
-    return set(map(type, itertools.chain.from_iterable(values) if nested else values)) <= {int, float}
-
-
-def _header(path, doc, version: int):
-    """The config and the names and bounds ``Forest`` takes, from a parsed
-    header of the given version (v1's document, v2's ``header.json``)."""
+def _header(path, doc):
+    """The version and config, and the names and bounds ``Forest`` takes,
+    from a parsed ``header.json``."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"{path}: not a {MODEL_FORMAT} file")
-    found = doc.get("version")
-    if isinstance(found, bool) or found != version:  # True == 1
-        raise ModelError(f"{path}: unsupported model version {found!r}")
+    version = doc.get("version")
+    if isinstance(version, bool) or version not in (2, MODEL_VERSION):  # True == 1
+        raise ModelError(f"{path}: unsupported model version {version!r}")
     try:
         config = ForestConfig(**doc["config"])
         fields = [doc[key] for key in ("feature_names", "target_names", "feature_bounds")]
-        if not _numbers_only(fields[2], True):
+        # numpy would read a bool beside numbers as 1 or 0, which no later test of the array's kind could see
+        if not set(map(type, itertools.chain.from_iterable(fields[2]))) <= {int, float}:
             raise ValueError("feature_bounds must hold numbers, not bools or strings")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ForestConfig's ModelError too
         raise ModelError(f"{path}: corrupt model file ({exc})") from None
-    return config, fields
+    return version, config, fields
 
 
-def _read_v1(path, fh):
-    doc = json.load(fh)
-    config, fields = _header(path, doc, 1)
-    trees, counts = doc.pop("trees"), []
-    for t, parsed in enumerate(trees):
-        counts.append(len(parsed["feature"]))
-        for name, (_, _, per_target) in _TREE_ARRAYS.items():
-            if not _numbers_only(parsed[name], per_target):
-                raise ValueError(f"tree {t}: {name} must hold numbers, not bools or strings")
-            if len(parsed[name]) != counts[t]:  # which the packed length alone cannot tell
-                raise ValueError(f"tree {t}: {name} has {len(parsed[name])} nodes, feature has {counts[t]}")
-    nodes = Tree(*(np.asarray([node for tree in trees for node in tree[name]]) for name in _TREE_ARRAYS))
-    return config, fields, nodes, counts
-
-
-def _read_v2(path, fh):
+def _read_zip(path, fh):
     size = os.fstat(fh.fileno()).st_size
     with zipfile.ZipFile(fh) as archive:
         for info in archive.infolist():  # so no member can inflate, or claim more bytes than the file has
             if info.compress_type != zipfile.ZIP_STORED or max(info.file_size, info.compress_size) > size:
                 raise ValueError(f"{info.filename} is not a stored member inside the file")
-        config, fields = _header(path, json.loads(archive.read(_HEADER).decode("utf-8")), MODEL_VERSION)
-        names = [*_TREE_ARRAYS, _NODE_COUNTS]
+        version, config, fields = _header(path, json.loads(archive.read(_HEADER).decode("utf-8")))
+        names = [*_TREE_ARRAYS, _NODE_COUNTS, *([_V2_ONLY] if version == 2 else [])]
         if sorted(archive.namelist()) != sorted([_HEADER, *(f"{name}.npy" for name in names)]):
             raise ValueError(f"members {archive.namelist()}, expected {_HEADER} and one .npy per {names}")
-        *arrays, counts = [_read_npy(archive, f"{name}.npy") for name in names]
-    return config, fields, Tree(*arrays), counts
+        arrays = {name: _read_npy(archive, f"{name}.npy") for name in names}
+    arrays.pop(_V2_ONLY, None)
+    return config, fields, arrays.pop(_NODE_COUNTS), Tree(**arrays)
 
 
 def _read_npy(archive: zipfile.ZipFile, name: str) -> np.ndarray:
@@ -664,20 +645,20 @@ _CORRUPT = (zipfile.BadZipFile, zipfile.LargeZipFile, EOFError, NotImplementedEr
 
 
 def load(path) -> Forest:
-    """Read a model file of either version, told apart by its first bytes,
-    not its name: a zip is v2, what ``save`` writes, and anything else is
-    read as v1 JSON. Only what reading the file can get wrong is checked
-    here; ``Forest`` checks the structure, as for any forest."""
+    """Read a model file of version 3, what ``save`` writes, or 2. Only what
+    reading the file can get wrong is checked here; ``Forest`` checks the
+    structure, as for any forest."""
     with open(path, "rb") as fh:
+        if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+            raise ModelError(
+                f"{path}: not a {MODEL_FORMAT} file of version 2 or 3 (version 1 files are no longer read: "
+                "load and save them with ruleforest at f53f6d9 or earlier)"
+            )
         try:
-            if fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
-                config, fields, nodes, counts = _read_v2(path, fh)
-            else:
-                fh.seek(0)
-                config, fields, nodes, counts = _read_v1(path, io.TextIOWrapper(fh, encoding="utf-8"))
+            config, fields, counts, nodes = _read_zip(path, fh)
         except ModelError:  # the header's, which name the file already
             raise
-        except _CORRUPT as exc:  # undecodable bytes, malformed or too deeply nested JSON, a broken zip
+        except _CORRUPT as exc:  # a broken zip, an undecodable or too deeply nested header
             raise ModelError(f"{path}: corrupt model file ({str(exc) or type(exc).__name__})") from None
     try:
         return Forest._owning(nodes, counts, config, *fields)

@@ -1,7 +1,4 @@
-"""Shared builders: hand-made trees/forests, random small forests and v1 model files."""
-
-import json
-from dataclasses import asdict
+"""Shared builders: hand-made trees/forests and random small forests."""
 
 import numpy as np
 import pytest
@@ -20,7 +17,7 @@ def split(feature, threshold, left_spec, right_spec):
 
 def build_tree(spec):
     """Materialize a nested (split/leaf) spec into a flat Tree."""
-    feature, threshold, left, right, value, count = [], [], [], [], [], []
+    feature, threshold, left, right, value = [], [], [], [], []
 
     def add(node_spec):
         idx = len(feature)
@@ -29,7 +26,6 @@ def build_tree(spec):
         left.append(-1)
         right.append(-1)
         value.append(None)
-        count.append(1)
         if node_spec[0] == "leaf":
             value[idx] = node_spec[1]
         else:
@@ -49,7 +45,6 @@ def build_tree(spec):
         left=np.asarray(left, dtype=np.int64),
         right=np.asarray(right, dtype=np.int64),
         value=values,
-        sample_count=np.asarray(count, dtype=np.int64),
     )
 
 
@@ -112,26 +107,6 @@ def random_forest(rng, n_trees, d, m, depth=3):
             spec = split(0, 0.0, leaf(rng.uniform(-5, 5, m)), leaf(rng.uniform(-5, 5, m)))
         specs.append(spec)
     return build_forest(specs, d)
-
-
-def write_v1(forest, path):
-    """Write a forest as a v1 model file, which ``load`` still reads: one JSON
-    document of the header fields, then ``trees``, one object per tree. Each
-    tree is encoded by its own ``json.dumps``; the bytes are those
-    ``json.dump`` of the whole document writes."""
-    header = {
-        "format": "ruleforest-model",
-        "version": 1,
-        "config": asdict(forest.config),
-        "feature_names": list(forest.feature_names),
-        "target_names": list(forest.target_names),
-        "feature_bounds": forest.feature_bounds.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header)[:-1] + ', "trees": [')
-        for t, tree in enumerate(forest.trees):
-            fh.write((", " if t else "") + json.dumps({name: getattr(tree, name).tolist() for name in Tree._fields}))
-        fh.write("]}")
 
 
 @pytest.fixture

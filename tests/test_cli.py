@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import ruleforest.cli as cli_module
-from conftest import write_v1
 from ruleforest import Dataset, ForestConfig, load, load_csv, make_synthetic, save, save_csv
 from ruleforest.cli import main
 from ruleforest.forest import LEAF
 from ruleforest.reduction import MAX_PRECISION
-from test_forest import CORRUPTIONS, _npy, _zip
+from test_forest import GOLDEN_V1, MIGRATION, NEIGHBOURS, as_v2, corrupt_model_file, unzip_model, zip_model
 
 RULE_RE = re.compile(
     r"^(if (-?\d+\.\d+ <= \w+ <= -?\d+\.\d+)( & -?\d+\.\d+ <= \w+ <= -?\d+\.\d+)* )?"
@@ -374,6 +373,28 @@ def test_csv_with_a_cell_over_the_field_limit_is_data_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and "long.csv:3: field larger than field limit" in err
 
 
+@pytest.mark.parametrize("cell", ["1e309", "-inf", "nan"])
+def test_csv_with_a_non_finite_cell_is_data_error(capsys, tmp_path, cell):
+    data = tmp_path / "huge.csv"
+    data.write_text(f"a,t\n1,2\n{cell},3\n4,5\n")
+    code, out, err = run(capsys, ["train", "--data", str(data), "--targets", "t", "--out", str(tmp_path / "m.model")])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {data}:3: non-finite value '{cell}' in column 'a'"]
+
+
+@pytest.mark.parametrize("case", list(NEIGHBOURS))
+def test_train_on_two_neighbouring_values_writes_a_model(capsys, tmp_path, case):
+    a, b = NEIGHBOURS[case]
+    x = np.tile([a, b], 10)
+    data = tmp_path / "neighbours.csv"
+    save_csv(Dataset(x[:, None], (x == b).astype(np.float64)[:, None], ("a",), ("t",)), data)
+    model = tmp_path / "m.model"
+    argv = ["train", "--data", str(data), "--targets", "t", "--estimators", "5", "--out", str(model)]
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert (load(model).threshold[load(model).feature != LEAF] == a).all()
+
+
 def test_explain_report_that_cannot_be_written_prints_nothing(workspace, capsys, tmp_path):
     _, _, model = workspace
     report = tmp_path / "no such folder" / "report.json"
@@ -384,18 +405,12 @@ def test_explain_report_that_cannot_be_written_prints_nothing(workspace, capsys,
     assert len(err.splitlines()) == 1 and "no such folder" in err
 
 
-def v1_document(model, tmp_path):
-    """The parsed v1 file of a model, to corrupt and write back."""
-    write_v1(load(model), tmp_path / "v1.model")
-    return json.loads((tmp_path / "v1.model").read_text())
-
-
 def test_model_with_root_cycle_is_data_error(workspace, capsys, tmp_path):
     _, _, model = workspace
-    doc = v1_document(model, tmp_path)
-    doc["trees"][0]["left"][0] = doc["trees"][0]["right"][0] = 0
+    header, arrays = unzip_model(model.read_bytes())
+    arrays["left"][0] = arrays["right"][0] = 0
     broken = tmp_path / "cycle.model"
-    broken.write_text(json.dumps(doc))
+    broken.write_bytes(zip_model(header, arrays))
     code, _, err = run(
         capsys, ["explain", "--model", str(broken), "--instance", "0,0,0,0", "--allowed-error", "0.2"]
     )
@@ -411,7 +426,7 @@ def test_model_whose_nodes_share_a_child_is_data_error(capsys, tmp_path):
     following = np.append(np.arange(1, n), -1)
     header = {
         "format": "ruleforest-model",
-        "version": 2,
+        "version": 3,
         "config": asdict(ForestConfig(n_estimators=1)),
         "feature_names": ["a"],
         "target_names": ["t"],
@@ -423,12 +438,10 @@ def test_model_whose_nodes_share_a_child_is_data_error(capsys, tmp_path):
         "left": following,
         "right": following,
         "value": np.vstack([np.zeros((n - 1, 1)), [[1.0]]]),  # 0.0 at the splits, 1.0 at the leaf
-        "sample_count": np.ones(n, dtype=np.int64),
         "node_counts": np.array([n]),
     }
-    members = {"header.json": json.dumps(header).encode(), **{f"{k}.npy": _npy(v) for k, v in arrays.items()}}
     chain = tmp_path / "chain.model"
-    chain.write_bytes(_zip(members))
+    chain.write_bytes(zip_model(header, arrays))
     code, out, err = run(capsys, ["explain", "--model", str(chain), "--instance", "0.5", "--allowed-error", "0.1"])
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: {chain}: tree 0: node other than the root not the child of exactly one node"]
@@ -452,25 +465,33 @@ def test_model_whose_nodes_share_a_child_is_data_error(capsys, tmp_path):
 )
 def test_model_with_value_save_never_writes_is_data_error(workspace, capsys, tmp_path, corruption):
     _, _, model = workspace
-    doc = v1_document(model, tmp_path)
-    CORRUPTIONS[corruption](doc)
     broken = tmp_path / "broken.model"
-    broken.write_text(json.dumps(doc))
+    message = corrupt_model_file(load(model), corruption, broken)
     code, out, err = run(capsys, ["inspect", "--model", str(broken)])
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {broken}: ") and message in err
 
 
-def test_v1_file_and_its_v2_resave_explain_alike(workspace, capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["inspect", "explain"])
+def test_v1_model_is_data_error_with_the_migration_line(capsys, command):
+    argv = [command, "--model", str(GOLDEN_V1)]
+    if command == "explain":
+        argv += ["--instance", "0,0,0", "--allowed-error", "0.2"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {GOLDEN_V1}: {MIGRATION}"]
+
+
+def test_v2_file_and_its_v3_resave_explain_alike(workspace, capsys, tmp_path, monkeypatch):
     _, _, model = workspace
-    v1, v2 = tmp_path / "v1", tmp_path / "v2"
-    v1.mkdir(), v2.mkdir()
-    write_v1(load(model), v1 / "m.model")
-    save(load(v1 / "m.model"), v2 / "m.model")
-    assert (v1 / "m.model").read_bytes()[:1] == b"{" and (v2 / "m.model").read_bytes()[:4] == b"PK\x03\x04"
+    v2, v3 = tmp_path / "v2", tmp_path / "v3"
+    v2.mkdir(), v3.mkdir()
+    (v2 / "m.model").write_bytes(as_v2(model.read_bytes()))
+    save(load(v2 / "m.model"), v3 / "m.model")
+    assert (v3 / "m.model").read_bytes() == model.read_bytes()
     runs = []
-    for folder in (v1, v2):
+    for folder in (v2, v3):
         monkeypatch.chdir(folder)  # the config line names the model and the report, relative to here
         argv = ["explain", "--model", "m.model", "--instance", "0.3,-0.2,0.5,0.1", "--allowed-error", "0.3",
                 "--report", "report.json"]

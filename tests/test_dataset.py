@@ -173,3 +173,12 @@ def test_kfold_partition_property(n, k, seed):
     # every row lands in exactly one fold
     all_rows = np.concatenate([plan.test_rows(f) for f in range(k)])
     assert sorted(all_rows) == list(range(n))
+
+
+@pytest.mark.parametrize("cell", ["1e309", "inf", "-Infinity", "nan", " NaN "])
+def test_non_finite_cell_names_its_file_line_and_column(tmp_path, cell):
+    path = write(tmp_path, f"a,t\n1,2\n\n3,{cell}\n")
+    with pytest.raises(DatasetError) as raised:
+        load_csv(path, ["t"])
+    assert str(raised.value) == f"{path}:4: non-finite value {cell.strip()!r} in column 't'"
+

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ruleforest.forest as forest_module
-from conftest import build_forest, build_tree, leaf, pack, predict_tree, random_forest, split, write_v1
+from conftest import build_forest, build_tree, leaf, pack, predict_tree, random_forest, split
 from ruleforest import (
     AllowedError,
     Dataset,
@@ -161,34 +161,96 @@ def test_save_load_roundtrip(tmp_path, rng):
     ],
     ids=["six_trees", "three_shallow_trees", "one_tree"],
 )
-def test_save_writes_json_of_the_v1_document(tmp_path, shape, config):
-    # save writes v2; v1 files, which load still reads, come from the tests' write_v1
+def test_save_writes_the_v3_members(tmp_path, shape, config):
+    # seven stored members: the header, the five packed node arrays and the node counts
     forest = fit(make_synthetic(*shape, seed=shape[0]), config)
-    document = {
+    header = {
         "format": "ruleforest-model",
-        "version": 1,
+        "version": 3,
         "config": {field: getattr(config, field) for field in config.__dataclass_fields__},
         "feature_names": list(forest.feature_names),
         "target_names": list(forest.target_names),
         "feature_bounds": forest.feature_bounds.tolist(),
-        "trees": [{field: getattr(tree, field).tolist() for field in Tree._fields} for tree in forest.trees],
     }
     path = tmp_path / "m.model"
-    write_v1(forest, path)
-    assert path.read_bytes() == json.dumps(document).encode()
+    save(forest, path)
+    with zipfile.ZipFile(path) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+    members = _members(path.read_bytes())
+    assert list(members) == ["header.json", *(f"{name}.npy" for name in Tree._fields), "node_counts.npy"]
+    assert members.pop("header.json") == json.dumps(header).encode()
+    expected = [getattr(forest, name) for name in Tree._fields]
+    expected.append(np.array([tree.n_nodes for tree in forest.trees]))
+    for (name, member), array in zip(members.items(), expected):
+        got = np.load(io.BytesIO(member))
+        assert got.dtype == array.dtype and np.array_equal(got, array), name
+
+
+def _members(data: bytes) -> dict[str, bytes]:
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        return {info.filename: archive.read(info) for info in archive.infolist()}
+
+
+def _zip(members: dict[str, bytes], compression=zipfile.ZIP_STORED) -> bytes:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", compression) as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return buffer.getvalue()
+
+
+def _npy(array: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, allow_pickle=True)  # an object array is pickled, as np.save does
+    return buffer.getvalue()
+
+
+def _raw_npy(descr: str, shape: tuple, data: bytes) -> bytes:
+    """An .npy member of a given header and data, whether or not they agree."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": descr, "fortran_order": False, "shape": shape})
+    return header.getvalue() + data
+
+
+def unzip_model(data: bytes) -> tuple[dict, dict]:
+    """A model file's parsed ``header.json`` and its arrays, writeable, named
+    by member without ``.npy``, in the file's order."""
+    members = _members(data)
+    header = json.loads(members.pop("header.json"))
+    return header, {name.removesuffix(".npy"): np.load(io.BytesIO(member)).copy() for name, member in members.items()}
+
+
+def zip_model(header: dict, arrays: dict) -> bytes:
+    """The model file of a header and arrays, as ``unzip_model`` gives them."""
+    return _zip({"header.json": json.dumps(header).encode(), **{f"{name}.npy": _npy(a) for name, a in arrays.items()}})
+
+
+def as_v2(data: bytes) -> bytes:
+    """A v3 file as a v2 file of the same forest: version 2, and each node's
+    training rows (here all 1) in one more member, which v2 readers drop."""
+    header, arrays = unzip_model(data)
+    n_nodes = arrays["feature"].shape[0]
+    return zip_model({**header, "version": 2}, {**arrays, "sample_count": np.ones(n_nodes, dtype=np.int64)})
+
+
+MIGRATION = (
+    "not a ruleforest-model file of version 2 or 3 (version 1 files are no longer read: "
+    "load and save them with ruleforest at f53f6d9 or earlier)"
+)
 
 
 def test_load_wrong_version(tmp_path):
+    header, arrays = unzip_model(GOLDEN_V3.read_bytes())
     path = tmp_path / "bad.model"
-    path.write_text(json.dumps({"format": "ruleforest-model", "version": 99}))
-    with pytest.raises(ModelError, match="version"):
+    path.write_bytes(zip_model({**header, "version": 99}, arrays))
+    with pytest.raises(ModelError, match="unsupported model version 99"):
         load(path)
 
 
 def test_load_truncated(tmp_path):
     ds = make_synthetic(20, 3, 1, seed=0)
     path = tmp_path / "trunc.model"
-    write_v1(fit(ds, ForestConfig(n_estimators=2)), path)
+    save(fit(ds, ForestConfig(n_estimators=2)), path)
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     with pytest.raises(ModelError, match="corrupt"):
         load(path)
@@ -196,7 +258,7 @@ def test_load_truncated(tmp_path):
 
 def test_load_deeply_nested_json(tmp_path):
     path = tmp_path / "deep.model"
-    path.write_text("[" * 100_000 + "]" * 100_000)
+    path.write_bytes(_zip({**_members(GOLDEN_V3.read_bytes()), "header.json": b"[" * 100_000 + b"]" * 100_000}))
     with pytest.raises(ModelError, match="corrupt"):
         load(path)
 
@@ -204,72 +266,116 @@ def test_load_deeply_nested_json(tmp_path):
 def test_load_not_a_model(tmp_path):
     path = tmp_path / "other.json"
     path.write_text("{}")
-    with pytest.raises(ModelError, match="not a"):
+    with pytest.raises(ModelError) as raised:
         load(path)
+    assert str(raised.value) == f"{path}: {MIGRATION}"
 
 
-def _set(tree, key, index, value):
-    tree[key][index] = value
+def test_v1_file_is_refused_with_the_migration_line():
+    with pytest.raises(ModelError) as raised:
+        load(GOLDEN_V1)
+    assert str(raised.value) == f"{GOLDEN_V1}: {MIGRATION}"
 
 
+def _set(mapping, key, index, value):
+    mapping[key][index] = value
+
+
+def _drop_first_tree_nodes(header, arrays):
+    """Tree 0 loses its nodes, and its node count becomes 0."""
+    count = arrays["node_counts"][0]
+    arrays.update({name: array[count:] for name, array in arrays.items() if name != "node_counts"})
+    arrays["node_counts"][0] = 0
+
+
+def _recast(name, dtype):
+    return lambda header, arrays: arrays.update({name: arrays[name].astype(dtype)})
+
+
+COUNTS = "node_counts must be a 1-D array of integers >= 1 that sum to the node count"
+NAMES = "_names must be a sequence of strings, not one str or other values"
+BOUNDS = "feature_bounds must be a finite (3, 2) array of numbers"
+BOUND_VALUES = "feature_bounds must hold numbers, not bools or strings"
+# id: (a fault made in place in the header and arrays of a saved file, the ModelError message after its name);
+# the file is a 3-tree forest of 3 features and 2 targets, whose first root splits
 CORRUPTIONS = {
-    "root_cycle": lambda doc: (_set(doc["trees"][0], "left", 0, 0), _set(doc["trees"][0], "right", 0, 0)),
-    "feature_too_large": lambda doc: _set(doc["trees"][0], "feature", 0, 7),
-    "feature_negative": lambda doc: _set(doc["trees"][0], "feature", 0, -2),
-    "child_too_large": lambda doc: _set(doc["trees"][0], "right", 0, 10**6),
-    "value_short": lambda doc: doc["trees"][0]["value"].pop(),
-    "value_wrong_width": lambda doc: _set(doc["trees"][0], "value", -1, [0.0]),
-    "sample_count_short": lambda doc: doc["trees"][0]["sample_count"].pop(),
-    "threshold_nan": lambda doc: _set(doc["trees"][0], "threshold", 0, float("nan")),
-    "value_inf": lambda doc: _set(doc["trees"][0], "value", -1, [float("inf"), 0.0]),
-    "no_nodes": lambda doc: doc["trees"][0].update(
-        {key: [] for key in ("feature", "threshold", "left", "right", "value", "sample_count")}
-    ),
-    "bounds_short": lambda doc: doc["feature_bounds"].pop(),
-    "bounds_nan": lambda doc: _set(doc, "feature_bounds", 0, [float("nan"), 1.0]),
+    "root_cycle": (lambda h, a: (_set(a, "left", 0, 0), _set(a, "right", 0, 0)), "tree 0: left child outside"),
+    "feature_too_large": (lambda h, a: _set(a, "feature", 0, 7), "tree 0: feature index outside [0, 3)"),
+    "feature_negative": (lambda h, a: _set(a, "feature", 0, -2), "tree 0: feature index outside [0, 3)"),
+    "child_too_large": (lambda h, a: _set(a, "right", 0, 10**6), "tree 0: right child outside"),
+    "value_short": (lambda h, a: a.update(value=a["value"][:-1]), "value has shape"),
+    "value_wrong_width": (lambda h, a: a.update(value=a["value"][:, :1]), "value has shape"),
+    "threshold_nan": (lambda h, a: _set(a, "threshold", 0, np.nan), "tree 0: non-finite threshold or value"),
+    "value_inf": (lambda h, a: _set(a, "value", -1, [np.inf, 0.0]), "tree 2: non-finite threshold or value"),
+    "no_nodes": (_drop_first_tree_nodes, COUNTS),
+    "bounds_short": (lambda h, a: h["feature_bounds"].pop(), BOUNDS),
+    "bounds_nan": (lambda h, a: _set(h, "feature_bounds", 0, [float("nan"), 1.0]), BOUNDS),
     # strings of one character per feature or target, which would split into valid names
-    "feature_names_string": lambda doc: doc.update(feature_names="abc"),
-    "target_names_string": lambda doc: doc.update(target_names="uv"),
-    "n_estimators_not_tree_count": lambda doc: _set(doc, "config", "n_estimators", 7),
-    # values save never writes, which a forced cast would round, wrap or overflow on
-    "seed_string": lambda doc: _set(doc, "config", "seed", "x"),
-    "seed_negative": lambda doc: _set(doc, "config", "seed", -1),
-    "feature_huge": lambda doc: _set(doc["trees"][0], "feature", 0, 2**70),
-    "feature_fractional": lambda doc: _set(doc["trees"][0], "feature", 0, doc["trees"][0]["feature"][0] + 0.5),
-    "left_fractional": lambda doc: _set(doc["trees"][0], "left", 0, doc["trees"][0]["left"][0] + 0.5),
-    # flags that are not bools, and a bool where a fraction belongs
-    "bootstrap_string": lambda doc: _set(doc, "config", "bootstrap", "x"),
-    "normalize_targets_null": lambda doc: _set(doc, "config", "normalize_targets", None),
-    "bootstrap_list": lambda doc: _set(doc, "config", "bootstrap", [1]),
-    "max_features_bool": lambda doc: _set(doc, "config", "max_features", True),
-    # bools, which numpy would read as 1 and 0 beside numbers
-    "feature_true": lambda doc: _set(doc["trees"][0], "feature", 0, True),
-    "threshold_true": lambda doc: _set(doc["trees"][0], "threshold", 0, True),
-    "value_false": lambda doc: _set(doc["trees"][0], "value", -1, [False, 0.0]),
-    "bounds_true": lambda doc: _set(doc, "feature_bounds", 0, [True, 2.0]),
-    "bounds_numeric_string": lambda doc: _set(doc, "feature_bounds", 0, ["-4", "4.5"]),
-    "version_true": lambda doc: doc.update(version=True),
-    # no target at all, with value rows to match, and a name given twice
-    "no_targets": lambda doc: (
-        doc.update(target_names=[]),
-        [tree.update(value=[[] for _ in tree["value"]]) for tree in doc["trees"]],
+    "feature_names_string": (lambda h, a: h.update(feature_names="abc"), "feature" + NAMES),
+    "target_names_string": (lambda h, a: h.update(target_names="uv"), "target" + NAMES),
+    "n_estimators_not_tree_count": (
+        lambda h, a: _set(h, "config", "n_estimators", 7),
+        "config.n_estimators is 7, but the forest has 3 trees",
     ),
-    "feature_name_repeated": lambda doc: _set(doc, "feature_names", 1, doc["feature_names"][0]),
-    "target_name_repeated": lambda doc: _set(doc, "target_names", 1, doc["target_names"][0]),
-    # a row moved from tree 1's values to tree 0's, which leaves the packed length as it was
-    "value_row_moved_between_trees": lambda doc: doc["trees"][0]["value"].append(doc["trees"][1]["value"].pop()),
+    # values save never writes, which a forced cast would round, wrap or overflow on
+    "seed_string": (lambda h, a: _set(h, "config", "seed", "x"), "seed must be an integer, got 'x'"),
+    "seed_negative": (lambda h, a: _set(h, "config", "seed", -1), "seed must be >= 0"),
+    "feature_huge": (  # which int64 would wrap round to -1, the leaf mark
+        lambda h, a: (_recast("feature", np.uint64)(h, a), _set(a, "feature", 0, 2**64 - 1)),
+        "feature holds uint64 values, expected integers",
+    ),
+    "feature_fractional": (
+        lambda h, a: (_recast("feature", np.float64)(h, a), _set(a, "feature", 0, a["feature"][0] + 0.5)),
+        "feature holds float64 values, expected integers",
+    ),
+    "left_fractional": (
+        lambda h, a: (_recast("left", np.float64)(h, a), _set(a, "left", 0, a["left"][0] + 0.5)),
+        "left holds float64 values, expected integers",
+    ),
+    # flags that are not bools, and a bool where a fraction belongs
+    "bootstrap_string": (lambda h, a: _set(h, "config", "bootstrap", "x"), "bootstrap must be a bool, got 'x'"),
+    "normalize_targets_null": (
+        lambda h, a: _set(h, "config", "normalize_targets", None),
+        "normalize_targets must be a bool, got None",
+    ),
+    "bootstrap_list": (lambda h, a: _set(h, "config", "bootstrap", [1]), "bootstrap must be a bool, got [1]"),
+    "max_features_bool": (lambda h, a: _set(h, "config", "max_features", True), "max_features must be"),
+    # bools, which a cast would read as 1 and 0
+    "feature_true": (_recast("feature", bool), "feature holds bool values, expected integers"),
+    "threshold_true": (_recast("threshold", bool), "threshold holds bool values, expected numbers"),
+    "value_false": (_recast("value", bool), "value holds bool values, expected numbers"),
+    "bounds_true": (lambda h, a: _set(h, "feature_bounds", 0, [True, 2.0]), BOUND_VALUES),
+    "bounds_numeric_string": (lambda h, a: _set(h, "feature_bounds", 0, ["-4", "4.5"]), BOUND_VALUES),
+    "version_true": (lambda h, a: h.update(version=True), "unsupported model version True"),
+    # no target at all, with value rows to match, and a name given twice
+    "no_targets": (lambda h, a: (h.update(target_names=[]), a.update(value=a["value"][:, :0])), "model has no targets"),
+    "feature_name_repeated": (lambda h, a: _set(h, "feature_names", 1, h["feature_names"][0]), "repeated feature name"),
+    "target_name_repeated": (lambda h, a: _set(h, "target_names", 1, h["target_names"][0]), "repeated target name"),
+    # tree 1's first node counted as tree 0's last, which leaves the node table as it was
+    "value_row_moved_between_trees": (
+        lambda h, a: a.update(node_counts=a["node_counts"] + [1, -1, 0]),
+        "tree 0: left child outside",
+    ),
 }
+
+
+def corrupt_model_file(forest, corruption: str, path) -> str:
+    """Save ``forest`` to ``path`` with one of the ``CORRUPTIONS``, and return its message."""
+    save(forest, path)
+    header, arrays = unzip_model(path.read_bytes())
+    assert arrays["feature"][0] != LEAF  # the root splits, so it has children
+    corrupt, message = CORRUPTIONS[corruption]
+    corrupt(header, arrays)
+    path.write_bytes(zip_model(header, arrays))
+    return message
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_load_rejects_corrupt_tree(tmp_path, corruption):
     path = tmp_path / "m.model"
-    write_v1(fit(make_synthetic(40, 3, 2, seed=1), ForestConfig(n_estimators=3, seed=0)), path)
-    doc = json.loads(path.read_text())
-    assert doc["trees"][0]["feature"][0] != -1  # the root splits, so it has children
-    CORRUPTIONS[corruption](doc)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelError):
+    forest = fit(make_synthetic(40, 3, 2, seed=1), ForestConfig(n_estimators=3, seed=0))
+    message = corrupt_model_file(forest, corruption, path)
+    with pytest.raises(ModelError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
         load(path)
 
 
@@ -325,9 +431,12 @@ def test_config_takes_numpy_integers_as_ints(tmp_path):
     assert load(path).config == config
 
 
-# a small hand-built forest (depths 0 to 3, two targets), its v1 file and the v2 file save writes
-GOLDEN_FILE = Path(__file__).parent / "data" / "model_v1.json"
+
+# a small hand-built forest (depths 0 to 3, two targets), the v1 file that is no longer read,
+# the v2 file earlier releases saved and the v3 file save writes
+GOLDEN_V1 = Path(__file__).parent / "data" / "model_v1.json"
 GOLDEN_V2 = Path(__file__).parent / "data" / "model_v2.model"
+GOLDEN_V3 = Path(__file__).parent / "data" / "model_v3.model"
 GOLDEN_SPECS = [
     leaf([0.5, -1.25]),
     split(0, 0.5, leaf([1.0, 2.0]), leaf([-3.0, 0.125])),
@@ -348,26 +457,17 @@ def assert_same_forest(a, b):
     assert (a.config, a.feature_names, a.target_names) == (b.config, b.feature_names, b.target_names)
 
 
-def test_save_writes_the_golden_v1_file(tmp_path):
-    # v1 files now come from the tests' write_v1; load reads them as the forest they were written from
-    path = tmp_path / "m.model"
-    write_v1(golden_forest(), path)
-    assert path.read_bytes() == GOLDEN_FILE.read_bytes()
-    assert_same_forest(load(GOLDEN_FILE), golden_forest())
-    write_v1(load(GOLDEN_FILE), path)
-    assert path.read_bytes() == GOLDEN_FILE.read_bytes()
-
-
-def test_save_writes_the_golden_v2_file(tmp_path, monkeypatch):
+def test_save_writes_the_golden_v3_file(tmp_path, monkeypatch):
     path = tmp_path / "x.model"
     save(golden_forest(), path)
-    assert path.read_bytes() == GOLDEN_V2.read_bytes()
+    assert path.read_bytes() == GOLDEN_V3.read_bytes()
     assert os.listdir(tmp_path) == ["x.model"]  # the path as given, with no .npz appended
+    assert_same_forest(load(GOLDEN_V3), golden_forest())
     assert_same_forest(load(GOLDEN_V2), golden_forest())
     monkeypatch.setattr(time, "time", lambda: time.mktime((2031, 5, 6, 7, 8, 9, 0, 0, -1)))
-    for forest in (golden_forest(), load(GOLDEN_V2), load(GOLDEN_FILE)):  # from v2, and from v1
+    for forest in (golden_forest(), load(GOLDEN_V3), load(GOLDEN_V2)):  # from v3, and from v2
         save(forest, path)
-        assert path.read_bytes() == GOLDEN_V2.read_bytes()
+        assert path.read_bytes() == GOLDEN_V3.read_bytes()
 
 
 def test_load_of_save_is_the_same_forest(tmp_path, rng):
@@ -378,69 +478,54 @@ def test_load_of_save_is_the_same_forest(tmp_path, rng):
         save(forest, path)
         assert path.read_bytes()[:4] == b"PK\x03\x04"
         assert_same_forest(load(path), forest)
+        path.write_bytes(as_v2(path.read_bytes()))
+        assert_same_forest(load(path), forest)
 
 
-def _members(data: bytes) -> dict[str, bytes]:
-    with zipfile.ZipFile(io.BytesIO(data)) as archive:
-        return {info.filename: archive.read(info) for info in archive.infolist()}
+def _faults(golden: Path, array: str) -> dict:
+    """id: (the golden file's bytes with one fault, the ModelError message after
+    the file's name); ``array`` names the member a header declares too large for."""
+    data = golden.read_bytes()
+    members = _members(data)
+
+    def golden_with(name: str, member: bytes) -> bytes:
+        return _zip({**members, name: member})
+
+    return {
+        "truncated": (data[:1000], "corrupt model file"),
+        "deflated": (_zip(members, zipfile.ZIP_DEFLATED), "header.json is not a stored member"),
+        "member_missing": (_zip({k: v for k, v in members.items() if k != "left.npy"}), "members"),
+        "member_extra": (golden_with("leaf_boxes.npy", _npy(np.zeros(3))), "members"),
+        "objects": (golden_with("threshold.npy", _raw_npy("|O", (16,), bytes(128))), "allow_pickle=False"),
+        "counts_float": (golden_with("node_counts.npy", _npy(np.array([1.0, 3, 5, 7]))), COUNTS),
+        "counts_2d": (golden_with("node_counts.npy", _npy(np.array([[1, 3], [5, 7]]))), COUNTS),
+        "counts_zero": (golden_with("node_counts.npy", _npy(np.array([0, 4, 5, 7]))), COUNTS),
+        "counts_short_of_nodes": (golden_with("node_counts.npy", _npy(np.array([1, 3, 5, 6]))), COUNTS),
+        # int64 counts whose sum wraps round to the node count
+        "counts_wrap": (golden_with("node_counts.npy", _npy(np.array([2**63 - 1, 2**63 - 1, 2, 16]))), COUNTS),
+        "array_declared_larger": (
+            golden_with(f"{array}.npy", _raw_npy("|i1", (10**8,), bytes(16))),
+            f"{array}.npy: header declares 100000000 bytes of data, the member holds 16",
+        ),
+        "version_1": (
+            golden_with("header.json", json.dumps({**json.loads(members["header.json"]), "version": 1}).encode()),
+            "unsupported model version 1",
+        ),
+    }
 
 
-def _zip(members: dict[str, bytes], compression=zipfile.ZIP_STORED) -> bytes:
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", compression) as archive:
-        for name, data in members.items():
-            archive.writestr(name, data)
-    return buffer.getvalue()
-
-
-def _npy(array: np.ndarray) -> bytes:
-    buffer = io.BytesIO()
-    np.lib.format.write_array(buffer, array, allow_pickle=True)  # an object array is pickled, as np.save does
-    return buffer.getvalue()
-
-
-def _raw_npy(descr: str, shape: tuple, data: bytes) -> bytes:
-    """An .npy member of a given header and data, whether or not they agree."""
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(header, {"descr": descr, "fortran_order": False, "shape": shape})
-    return header.getvalue() + data
-
-
-GOLDEN_MEMBERS = _members(GOLDEN_V2.read_bytes())
-def _golden_with(name: str, member: bytes) -> bytes:
-    """The golden v2 file with one member added or replaced."""
-    return _zip({**GOLDEN_MEMBERS, name: member})
-
-
-COUNTS = "node_counts must be a 1-D array of integers >= 1 that sum to the node count"
-# id: (the file's bytes, the ModelError message after its name)
-V2_FAULTS = {
-    "truncated": (GOLDEN_V2.read_bytes()[:1000], "corrupt model file"),
-    "deflated": (_zip(GOLDEN_MEMBERS, zipfile.ZIP_DEFLATED), "header.json is not a stored member"),
-    "member_missing": (_zip({k: v for k, v in GOLDEN_MEMBERS.items() if k != "left.npy"}), "members"),
-    "member_extra": (_golden_with("leaf_boxes.npy", _npy(np.zeros(3))), "members"),
-    "objects": (_golden_with("threshold.npy", _raw_npy("|O", (16,), bytes(128))), "allow_pickle=False"),
-    "counts_float": (_golden_with("node_counts.npy", _npy(np.array([1.0, 3, 5, 7]))), COUNTS),
-    "counts_2d": (_golden_with("node_counts.npy", _npy(np.array([[1, 3], [5, 7]]))), COUNTS),
-    "counts_zero": (_golden_with("node_counts.npy", _npy(np.array([0, 4, 5, 7]))), COUNTS),
-    "counts_short_of_nodes": (_golden_with("node_counts.npy", _npy(np.array([1, 3, 5, 6]))), COUNTS),
-    # int64 counts whose sum wraps round to the node count
-    "counts_wrap": (_golden_with("node_counts.npy", _npy(np.array([2**63 - 1, 2**63 - 1, 2, 16]))), COUNTS),
-    "array_declared_larger": (
-        _golden_with("sample_count.npy", _raw_npy("|i1", (10**8,), bytes(16))),
-        "sample_count.npy: header declares 100000000 bytes of data, the member holds 16",
-    ),
-    "version_1": (
-        _golden_with("header.json", GOLDEN_MEMBERS["header.json"].replace(b'"version": 2', b'"version": 1')),
-        "unsupported model version 1",
+# the member only v2 holds is read, with every guard, before it is dropped
+V2_FAULTS = _faults(GOLDEN_V2, "sample_count")
+V3_FAULTS = {
+    **_faults(GOLDEN_V3, "left"),
+    "sample_count_member": (
+        _zip({**_members(GOLDEN_V3.read_bytes()), "sample_count.npy": _npy(np.ones(16, dtype=np.int64))}),
+        "members",
     ),
 }
 
 
-@pytest.mark.parametrize("fault", sorted(V2_FAULTS))
-def test_load_rejects_corrupt_v2_file(tmp_path, fault):
-    assert [int(n) for n in np.load(io.BytesIO(GOLDEN_MEMBERS["node_counts.npy"]))] == [1, 3, 5, 7]
-    data, message = V2_FAULTS[fault]
+def _assert_refused(tmp_path, data: bytes, message: str):
     path = tmp_path / "m.model"
     path.write_bytes(data)
     tracemalloc.start()
@@ -451,6 +536,22 @@ def test_load_rejects_corrupt_v2_file(tmp_path, fault):
     finally:
         tracemalloc.stop()
     assert peak < 10**7  # the header declaring 10**8 bytes allocated no array of that size
+
+
+@pytest.mark.parametrize("fault", sorted(V2_FAULTS))
+def test_load_rejects_corrupt_v2_file(tmp_path, fault):
+    _assert_refused(tmp_path, *V2_FAULTS[fault])
+
+
+@pytest.mark.parametrize("fault", sorted(V3_FAULTS))
+def test_load_rejects_corrupt_v3_file(tmp_path, fault):
+    _assert_refused(tmp_path, *V3_FAULTS[fault])
+
+
+def test_golden_files_hold_four_trees_of_1_3_5_and_7_nodes():
+    # the node counts the faults above replace
+    for golden in (GOLDEN_V2, GOLDEN_V3):
+        assert unzip_model(golden.read_bytes())[1]["node_counts"].tolist() == [1, 3, 5, 7]
 
 
 def _locations(node, at=()):
@@ -485,47 +586,49 @@ def _predicts_and_explains(forest):
     assert explain(forest, x, AllowedError.global_mean(0.1)).rule.contains(x).all()
 
 
-FUZZ_VALUES = {"2**70": 2**70, "10**400": 10**400, "fraction": 0.5, "string": "x", "bool": True, "null": None, "list": [1], "dict": {"a": 1}}
-FUZZ_MUTATIONS = {"drop": _drop, "extend": _extend, **{f"swap {name}": _swap(value) for name, value in FUZZ_VALUES.items()}}
-
-
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    location=st.sampled_from(list(_locations(json.loads(GOLDEN_FILE.read_text())))),
-    mutation=st.sampled_from(sorted(FUZZ_MUTATIONS)),
-)
-def test_mutated_model_file_fails_cleanly_or_predicts(tmp_path, capsys, location, mutation):
-    doc = json.loads(GOLDEN_FILE.read_text())
-    parent = doc
-    for key in location[:-1]:
-        parent = parent[key]
-    FUZZ_MUTATIONS[mutation](parent, location[-1])
-    path = tmp_path / "fuzzed.model"
-    path.write_text(json.dumps(doc))
-    try:
-        forest = load(path)
-    except ModelError:
-        forest = None
-    else:
-        _predicts_and_explains(forest)
-    if mutation == "swap bool" and location[0] in ("trees", "feature_bounds", "version"):
-        assert forest is None
+def _inspect_agrees(path, capsys, forest):
+    """``ruleforest inspect`` exits 0 on a file that loads, and otherwise 2 with one stderr line."""
     code = main(["inspect", "--model", str(path)])
     err = capsys.readouterr().err
     assert code == (2 if forest is None else 0)
     assert len(err.splitlines()) == (1 if forest is None else 0)
 
 
-HEADER_LOCATIONS = list(_locations(json.loads(GOLDEN_MEMBERS["header.json"])))
+FUZZ_VALUES = {"2**70": 2**70, "10**400": 10**400, "fraction": 0.5, "string": "x", "bool": True, "null": None, "list": [1], "dict": {"a": 1}}
+FUZZ_MUTATIONS = {"drop": _drop, "extend": _extend, **{f"swap {name}": _swap(value) for name, value in FUZZ_VALUES.items()}}
+GOLDEN_FILES = {"v2": GOLDEN_V2, "v3": GOLDEN_V3}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(golden=st.sampled_from(sorted(GOLDEN_FILES)), data=st.data())
+def test_mutated_model_file_fails_cleanly_or_predicts(tmp_path, capsys, golden, data):
+    # one value of a golden file's header.json dropped, repeated or swapped for a value of another type
+    header, arrays = unzip_model(GOLDEN_FILES[golden].read_bytes())
+    location = data.draw(st.sampled_from(list(_locations(header))))
+    mutation = data.draw(st.sampled_from(sorted(FUZZ_MUTATIONS)))
+    parent = header
+    for key in location[:-1]:
+        parent = parent[key]
+    FUZZ_MUTATIONS[mutation](parent, location[-1])
+    path = tmp_path / "fuzzed.model"
+    path.write_bytes(zip_model(header, arrays))
+    try:
+        forest = load(path)
+    except ModelError:
+        forest = None
+    else:
+        _predicts_and_explains(forest)
+    if mutation == "swap bool" and location[0] in ("feature_bounds", "version"):
+        assert forest is None
+    _inspect_agrees(path, capsys, forest)
 
 
 @st.composite
-def mutated_v2_file(draw):
-    """The golden v2 bytes with one byte flipped, cut short or extended, or
-    rezipped with a member dropped, an array member of another dtype or
-    shape, or one value of ``header.json`` mutated as the v1 fuzz does."""
-    data = GOLDEN_V2.read_bytes()
-    mutation = draw(st.sampled_from(["flip", "truncate", "append", "drop", "swap", "header"]))
+def mutated_model_file(draw):
+    """A golden v2 or v3 file with one byte flipped, cut short or extended, or
+    rezipped with a member dropped, or an array member of another dtype or shape."""
+    data = GOLDEN_FILES[draw(st.sampled_from(sorted(GOLDEN_FILES)))].read_bytes()
+    mutation = draw(st.sampled_from(["flip", "truncate", "append", "drop", "swap"]))
     if mutation == "flip":
         at = draw(st.integers(0, len(data) - 1))
         return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
@@ -533,10 +636,10 @@ def mutated_v2_file(draw):
         return data[: draw(st.integers(0, len(data) - 1))]
     if mutation == "append":
         return data + draw(st.binary(min_size=1, max_size=64))
-    members = dict(GOLDEN_MEMBERS)
+    members = _members(data)
     if mutation == "drop":
         del members[draw(st.sampled_from(sorted(members)))]
-    elif mutation == "swap":
+    else:
         name = draw(st.sampled_from(sorted(set(members) - {"header.json"})))
         array, dtype = np.load(io.BytesIO(members[name])), KIND_DTYPES[draw(st.sampled_from(sorted(KIND_DTYPES)))]
         if draw(st.booleans()):
@@ -546,19 +649,11 @@ def mutated_v2_file(draw):
             elements = st.integers(-3, 3) | st.floats() | st.none() if dtype is object else None
             array = draw(hnp.arrays(dtype, shape, elements=elements))
         members[name] = _npy(array)
-    else:
-        header = json.loads(members["header.json"])
-        location = draw(st.sampled_from(HEADER_LOCATIONS))
-        parent = header
-        for key in location[:-1]:
-            parent = parent[key]
-        FUZZ_MUTATIONS[draw(st.sampled_from(sorted(FUZZ_MUTATIONS)))](parent, location[-1])
-        members["header.json"] = json.dumps(header).encode()
     return _zip(members)
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=mutated_v2_file())
+@given(data=mutated_model_file())
 def test_mutated_v2_model_file_fails_cleanly_or_predicts(tmp_path, capsys, data):
     path = tmp_path / "fuzzed.model"
     path.write_bytes(data)
@@ -568,10 +663,7 @@ def test_mutated_v2_model_file_fails_cleanly_or_predicts(tmp_path, capsys, data)
         forest = None
     else:
         _predicts_and_explains(forest)
-    code = main(["inspect", "--model", str(path)])
-    err = capsys.readouterr().err
-    assert code == (2 if forest is None else 0)
-    assert len(err.splitlines()) == (1 if forest is None else 0)
+    _inspect_agrees(path, capsys, forest)
 
 
 def test_cli_import_and_load_leave_numpy_ma_unimported(tmp_path):
@@ -630,9 +722,9 @@ FOREST_FAULTS = {
         {"nodes": NODES._replace(value=NODES.value.astype(np.complex128))},
         "value holds complex128 values, expected numbers",
     ),
-    "sample_count_bool": (
-        {"nodes": NODES._replace(sample_count=NODES.sample_count.astype(bool))},
-        "sample_count holds bool values, expected integers",
+    "right_bool": (
+        {"nodes": NODES._replace(right=NODES.right.astype(bool))},
+        "right holds bool values, expected integers",
     ),
     # one string of one character per name, which would split into valid names
     "feature_names_str": ({"feature_names": "f"}, "feature_names must be a sequence of strings"),
@@ -879,6 +971,27 @@ def test_predict_batch_rejects_non_finite_rows(rows):
         predict(forest, rows[1])
 
 
+# two neighbouring values whose midpoint rounds to the upper one, or overflows
+NEIGHBOURS = {
+    "next_floats_above_1": (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+    "subnormals": (5e-324, 1e-323),
+    "near_the_float_limit": (1e308, 1.5e308),
+}
+
+
+@pytest.mark.parametrize("case", list(NEIGHBOURS))
+def test_fit_splits_two_neighbouring_values_at_the_lower(case):
+    a, b = NEIGHBOURS[case]
+    x = np.tile([a, b], 10)
+    data = Dataset(np.column_stack([x, x[::-1]]), (x == b).astype(np.float64)[:, None], ("a", "b"), ("t",))
+    forest = fit(data, ForestConfig(n_estimators=5, seed=1))
+    inner = forest.feature != LEAF
+    assert inner.any() and (forest.threshold[inner] == a).all()  # x <= a parts the two values
+    np.testing.assert_array_equal(predict_batch(forest, data.features), data.targets)
+    for row in data.features[:2]:
+        assert explain(forest, row, AllowedError.global_mean(0.1)).rule.contains(row).all()
+
+
 def test_min_samples_leaf_too_large():
     ds = two_point_dataset()
     with pytest.raises(ModelError):
@@ -914,7 +1027,9 @@ def _reference_best_split(X, Y, candidates, min_leaf, target_scale):
         gains = parent - left_sse.sum(axis=1) - right_sse.sum(axis=1)
         k = int(np.argmax(gains))
         if gains[k] > best[2]:
-            thr = 0.5 * (xs[pos[k]] + xs[pos[k] + 1])
+            a, b = float(xs[pos[k]]), float(xs[pos[k] + 1])
+            mid = 0.5 * (a + b)
+            thr = mid if a <= mid < b else a  # the lower value where the midpoint is not between them
             best = (int(f), float(thr), float(gains[k]))
     return best
 
@@ -925,7 +1040,7 @@ def _reference_grow_tree(X, Y, config, rng, target_scale, buffers):
         target_scale = np.ones(Y.shape[1])
     d = X.shape[1]
     k_feats = config.features_per_split(d)
-    feature, threshold, left, right, value, count = [], [], [], [], [], []
+    feature, threshold, left, right, value = [], [], [], [], []
 
     def new_node():
         feature.append(LEAF)
@@ -933,12 +1048,10 @@ def _reference_grow_tree(X, Y, config, rng, target_scale, buffers):
         left.append(-1)
         right.append(-1)
         value.append(None)
-        count.append(0)
         return len(feature) - 1
 
     def build(node, rows, depth):
         sub_x, sub_y = X[rows], Y[rows]
-        count[node] = rows.shape[0]
         splittable = rows.shape[0] >= 2 * config.min_samples_leaf and (
             config.max_depth is None or depth < config.max_depth
         )
@@ -967,11 +1080,10 @@ def _reference_grow_tree(X, Y, config, rng, target_scale, buffers):
         left=np.asarray(left, dtype=np.int64),
         right=np.asarray(right, dtype=np.int64),
         value=values,
-        sample_count=np.asarray(count, dtype=np.int64),
     )
 
 
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "sample_count")
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 def assert_same_trees(a, b):
