@@ -60,6 +60,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dataset import DatasetError
+
 MODEL_FORMAT = "ruleforest-model"
 MODEL_VERSION = 3  # the version save writes; load reads it and version 2
 _ZIP_MAGIC = b"PK\x03\x04"  # the first bytes of a model file
@@ -77,13 +79,15 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class ForestConfig:
+    """How ``fit`` grows a forest: exactly the six values the forest flags of
+    ``ruleforest train`` set. Every split weighs the targets equally."""
+
     n_estimators: int = 500
     max_depth: int | None = None
     min_samples_leaf: int = 1
     max_features: str | float = "sqrt"  # "all", "sqrt" or a fraction in (0, 1]
     bootstrap: bool = True
     seed: int = 0
-    normalize_targets: bool = False  # per-target variance scaling in the split gain
 
     def __post_init__(self):
         for name, low in (("n_estimators", 1), ("min_samples_leaf", 1), ("max_depth", 0), ("seed", 0)):
@@ -95,11 +99,9 @@ class ForestConfig:
             if value < low:  # a negative seed cannot seed numpy's generator
                 raise ModelError(f"{name} must be >= {low}")
             object.__setattr__(self, name, int(value))  # numpy integers too, so the config saves as JSON
-        for name in ("bootstrap", "normalize_targets"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ModelError(f"{name} must be a bool, got {value!r}")
-            object.__setattr__(self, name, bool(value))
+        if not isinstance(self.bootstrap, (bool, np.bool_)):
+            raise ModelError(f"bootstrap must be a bool, got {self.bootstrap!r}")
+        object.__setattr__(self, "bootstrap", bool(self.bootstrap))
         if isinstance(self.max_features, str):
             if self.max_features not in ("all", "sqrt"):
                 raise ModelError(f"unknown max_features {self.max_features!r}")
@@ -406,25 +408,23 @@ def predict_batch(forest: Forest, X) -> np.ndarray:
     return total / forest.n_trees
 
 
-def _best_split(X, Y, rows, candidates, min_leaf, target_scale):
+def _best_split(X, Y, rows, candidates, min_leaf):
     """Best (feature, threshold) for the node holding ``rows``, or None.
 
     One search scores every candidate feature at once: the candidate columns
     are sorted together as one (n, k) block, and (n, k, m) cumulative sums of
-    y and y² give, for each legal split position of each feature, the summed
-    per-target reduction in sum-of-squared-errors (divided by an optional
-    per-target scale). The best position of each feature is its first
-    highest gain, and the best feature is the first one whose gain is
-    highest, so ties resolve to the lowest feature index and then the lowest
-    threshold. The node splits only on a gain above zero.
+    y and y² give, for each legal split position of each feature, the
+    reduction in sum-of-squared-errors summed over the targets with equal
+    weights, as scikit-learn's multi-output ``squared_error`` sums them. The
+    best position of each feature is its first highest gain, and the best
+    feature is the first one whose gain is highest, so ties resolve to the
+    lowest feature index and then the lowest threshold. The node splits only
+    on a gain above zero. ``fit`` has made sure that no sum here overflows.
     """
     sub_y = Y[rows]
     n = rows.shape[0]
     col_sum = sub_y.sum(axis=0)
-    parent_sse = (sub_y * sub_y).sum(axis=0) - col_sum * col_sum / n
-    if target_scale is not None:
-        parent_sse = parent_sse / target_scale
-    parent = parent_sse.sum()
+    parent = ((sub_y * sub_y).sum(axis=0) - col_sum * col_sum / n).sum()
     block = X[rows[:, None], candidates]
     order = np.argsort(block, axis=0, kind="stable")
     xs = np.take_along_axis(block, order, axis=0)
@@ -439,9 +439,6 @@ def _best_split(X, Y, rows, candidates, min_leaf, target_scale):
     right_sum = col_sum - left_sum
     left_sse = cum_sq[lo:hi] - left_sum * left_sum / left_n
     right_sse = cum_sq[-1] - cum_sq[lo:hi] - right_sum * right_sum / right_n
-    if target_scale is not None:
-        left_sse = left_sse / target_scale
-        right_sse = right_sse / target_scale
     gains = parent - left_sse.sum(axis=2) - right_sse.sum(axis=2)
     gains[~(xs[lo:hi] < xs[lo + 1 : hi + 1])] = -np.inf  # equal neighbours cannot be split apart
     pos = gains.argmax(axis=0)
@@ -462,7 +459,7 @@ def _grow_buffers(n: int, m: int) -> Tree:
     return Tree(*(np.empty((size, m) if per_target else size, dtype) for _, dtype, per_target in _TREE_ARRAYS.values()))
 
 
-def _grow_tree(X, Y, config: ForestConfig, rng, target_scale, buffers: Tree) -> Tree:
+def _grow_tree(X, Y, config: ForestConfig, rng, buffers: Tree) -> Tree:
     """Grow one tree depth first from an explicit stack of (node, rows, depth),
     into ``buffers`` (from ``_grow_buffers``), and return views of the nodes
     used, which the next tree overwrites, setting all five fields of each node.
@@ -482,7 +479,7 @@ def _grow_tree(X, Y, config: ForestConfig, rng, target_scale, buffers: Tree) -> 
         split = None
         if rows.shape[0] >= 2 * min_leaf and (config.max_depth is None or depth < config.max_depth):
             cand = np.arange(d) if k_feats >= d else np.sort(rng.choice(d, size=k_feats, replace=False))
-            split = _best_split(X, Y, rows, cand, min_leaf, target_scale)
+            split = _best_split(X, Y, rows, cand, min_leaf)
         if split is None:
             feature[node], threshold[node], left[node], right[node] = LEAF, 0.0, -1, -1
             value[node] = Y[rows].mean(axis=0)
@@ -507,6 +504,10 @@ def fit(train, config: ForestConfig) -> Forest:
     it picks the split a scan of one feature at a time would pick, ties
     included, so the trees are exact CART trees.
 
+    Targets whose split sums could overflow, where ``m * (n * max|y_j|)**2``
+    is not finite for n rows and m targets, raise a ``DatasetError`` naming
+    the first such column j.
+
     Every tree grows into the same buffers and is copied straight into the
     node table, whose arrays grow geometrically and are trimmed once at the
     end; the forest keeps them without copying the table again.
@@ -515,10 +516,12 @@ def fit(train, config: ForestConfig) -> Forest:
     n = X.shape[0]
     if n < config.min_samples_leaf:
         raise ModelError(f"dataset of {n} rows cannot satisfy min_samples_leaf={config.min_samples_leaf}")
-    scale = None  # dividing by a scale of 1.0 would change nothing
-    if config.normalize_targets:
-        scale = Y.var(axis=0)
-        scale = np.where(scale > 0, scale, 1.0)
+    with np.errstate(over="ignore"):  # an overflow here is what the test looks for
+        too_large = ~np.isfinite(Y.shape[1] * (n * np.abs(Y).max(axis=0)) ** 2)
+    if too_large.any():
+        j = int(np.argmax(too_large))
+        raise DatasetError(f"target column {train.target_names[j]!r}: values up to {np.abs(Y[:, j]).max():g} "
+                           f"in magnitude would overflow the split sums over {n} rows")
     buffers = _grow_buffers(n, Y.shape[1])
     table = _grow_buffers(n, Y.shape[1])  # room for the first tree
     counts = np.empty(config.n_estimators, dtype=np.int64)
@@ -526,7 +529,7 @@ def fit(train, config: ForestConfig) -> Forest:
     for t in range(config.n_estimators):
         rng = np.random.default_rng([config.seed, t])
         rows = rng.integers(0, n, size=n) if config.bootstrap else slice(None)
-        tree = _grow_tree(X[rows], Y[rows], config, rng, scale, buffers)
+        tree = _grow_tree(X[rows], Y[rows], config, rng, buffers)
         counts[t] = tree.n_nodes
         if used + tree.n_nodes > table.feature.shape[0]:
             _resize(table, max(2 * table.feature.shape[0], used + tree.n_nodes))
@@ -598,6 +601,9 @@ def _header(path, doc):
     version = doc.get("version")
     if isinstance(version, bool) or version not in (2, MODEL_VERSION):  # True == 1
         raise ModelError(f"{path}: unsupported model version {version!r}")
+    config = doc.get("config")  # files saved before the key was retired hold false, the one criterion fit has
+    if isinstance(config, dict) and config.pop("normalize_targets", False) is not False:
+        raise ModelError(f"{path}: config normalize_targets is not false: a split criterion fit no longer has")
     try:
         config = ForestConfig(**doc["config"])
         fields = [doc[key] for key in ("feature_names", "target_names", "feature_bounds")]

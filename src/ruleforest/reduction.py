@@ -28,8 +28,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset, kfold
-from .forest import Forest, ForestConfig, fit, predict, predict_batch
+from .forest import Forest, ForestConfig, fit, predict_batch
 from .paths import AssociationModel, Paths, _check_min_support, _leaf_paths, _pair_scores, rank_features
+
+# unused here; kept because the benchmark wraps this name in this module
+from .forest import predict  # noqa: F401
 
 MAX_PRECISION = 1074  # a float64's fixed-point expansion ends within 1074 fractional digits
 EXPLAIN_CHUNK_ELEMENTS = 1 << 16  # (row, tree, feature) plus (row, feature, feature) elements per explain_batch step
@@ -365,10 +368,13 @@ def check_conclusive(
     per-target range ``[lower, upper]`` of the forest's prediction over the
     region.
     ``max_deviation`` is the largest gap between that range and the
-    prediction for ``x``, and ``envelope_violations`` counts the targets
-    whose range leaves the envelope. The range is exact when every leaf of
-    the forest holds some point, as in every forest ``fit`` grows; a leaf no
-    point reaches, which a hand-built tree can have, can only widen it.
+    prediction for ``x``, which is ``reduction.original_prediction``, the
+    mean of ``x``'s leaves (bit for bit ``predict(forest, x)``), so
+    ``reduction`` must be ``x``'s, from this forest: that is not checked.
+    ``envelope_violations`` counts the targets whose range leaves the
+    envelope. The range is exact when every leaf of the forest holds some
+    point, as in every forest ``fit`` grows; a leaf no point reaches, which a
+    hand-built tree can have, can only widen it.
     Nothing is sampled, so the result does not depend on ``trials`` or
     ``seed``; ``trials`` must still be >= 1.
     Raises ``ValueError`` when the region is empty or does not contain ``x``.
@@ -389,7 +395,7 @@ def check_conclusive(
     starts = np.searchsorted(leaves, forest.roots)
     lower = np.minimum.reduceat(values, starts).sum(axis=0) / forest.n_trees
     upper = np.maximum.reduceat(values, starts).sum(axis=0) / forest.n_trees
-    original = predict(forest, x)
+    original = reduction.original_prediction
     env_lo, env_hi = reduction.envelope
     tolerance = 1e-9  # floating-point slack on the envelope test
     violations = int(((lower < env_lo - tolerance) | (upper > env_hi + tolerance)).sum())

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -10,7 +10,16 @@ from ruleforest import Dataset, ForestConfig, load, load_csv, make_synthetic, sa
 from ruleforest.cli import main
 from ruleforest.forest import LEAF
 from ruleforest.reduction import MAX_PRECISION
-from test_forest import GOLDEN_V1, MIGRATION, NEIGHBOURS, as_v2, corrupt_model_file, unzip_model, zip_model
+from test_forest import (
+    GOLDEN_V1,
+    MIGRATION,
+    NEIGHBOURS,
+    as_v2,
+    corrupt_model_file,
+    scaled_targets,
+    unzip_model,
+    zip_model,
+)
 
 RULE_RE = re.compile(
     r"^(if (-?\d+\.\d+ <= \w+ <= -?\d+\.\d+)( & -?\d+\.\d+ <= \w+ <= -?\d+\.\d+)* )?"
@@ -395,6 +404,28 @@ def test_train_on_two_neighbouring_values_writes_a_model(capsys, tmp_path, case)
     assert (load(model).threshold[load(model).feature != LEAF] == a).all()
 
 
+def test_train_on_targets_whose_split_sums_overflow_is_data_error(capsys, tmp_path):
+    data, model = tmp_path / "huge.csv", tmp_path / "m.model"
+    save_csv(scaled_targets([1.0, 1e307]), data)
+    argv = ["train", "--data", str(data), "--targets", "t0,t1", "--estimators", "20", "--min-leaf", "2",
+            "--out", str(model)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: target column 't1': values up to ")
+    assert not model.exists()
+
+
+def test_every_forest_config_field_is_a_train_flag():
+    """Setting every forest flag of ``ruleforest train`` off its default moves
+    every ``ForestConfig`` field off its default: no field is library-only."""
+    flags = ["--estimators", "7", "--max-depth", "3", "--min-leaf", "2", "--max-features", "all", "--no-bootstrap",
+             "--seed", "5"]
+    args = cli_module.build_parser().parse_args(["train", "--data", "d.csv", "--targets", "t", "--out", "m", *flags])
+    config, default = cli_module._config_from_args(args), ForestConfig()
+    names = [field.name for field in fields(ForestConfig)]
+    assert [name for name in names if getattr(config, name) == getattr(default, name)] == []
+
+
 def test_explain_report_that_cannot_be_written_prints_nothing(workspace, capsys, tmp_path):
     _, _, model = workspace
     report = tmp_path / "no such folder" / "report.json"
@@ -456,6 +487,7 @@ def test_model_whose_nodes_share_a_child_is_data_error(capsys, tmp_path):
         "left_fractional",
         "bootstrap_string",
         "normalize_targets_null",
+        "normalize_targets_true",
         "bootstrap_list",
         "max_features_bool",
         "no_targets",

@@ -1,11 +1,14 @@
+import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 import zipfile
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +24,7 @@ from conftest import build_forest, build_tree, leaf, pack, predict_tree, random_
 from ruleforest import (
     AllowedError,
     Dataset,
+    DatasetError,
     Forest,
     ForestConfig,
     ModelError,
@@ -296,6 +300,7 @@ COUNTS = "node_counts must be a 1-D array of integers >= 1 that sum to the node 
 NAMES = "_names must be a sequence of strings, not one str or other values"
 BOUNDS = "feature_bounds must be a finite (3, 2) array of numbers"
 BOUND_VALUES = "feature_bounds must hold numbers, not bools or strings"
+RETIRED_KEY = "config normalize_targets is not false: a split criterion fit no longer has"
 # id: (a fault made in place in the header and arrays of a saved file, the ModelError message after its name);
 # the file is a 3-tree forest of 3 features and 2 targets, whose first root splits
 CORRUPTIONS = {
@@ -334,10 +339,10 @@ CORRUPTIONS = {
     ),
     # flags that are not bools, and a bool where a fraction belongs
     "bootstrap_string": (lambda h, a: _set(h, "config", "bootstrap", "x"), "bootstrap must be a bool, got 'x'"),
-    "normalize_targets_null": (
-        lambda h, a: _set(h, "config", "normalize_targets", None),
-        "normalize_targets must be a bool, got None",
-    ),
+    # the retired key, which every file saved with it holds as false
+    "normalize_targets_null": (lambda h, a: _set(h, "config", "normalize_targets", None), RETIRED_KEY),
+    "normalize_targets_true": (lambda h, a: _set(h, "config", "normalize_targets", True), RETIRED_KEY),
+    "normalize_targets_zero": (lambda h, a: _set(h, "config", "normalize_targets", 0), RETIRED_KEY),
     "bootstrap_list": (lambda h, a: _set(h, "config", "bootstrap", [1]), "bootstrap must be a bool, got [1]"),
     "max_features_bool": (lambda h, a: _set(h, "config", "max_features", True), "max_features must be"),
     # bools, which a cast would read as 1 and 0
@@ -401,12 +406,11 @@ def test_config_rejects_integers_out_of_range(field, value):
     [
         ("bootstrap", "x", "bootstrap must be a bool"),
         ("bootstrap", 1, "bootstrap must be a bool"),
-        ("normalize_targets", None, "normalize_targets must be a bool"),
-        ("normalize_targets", [1], "normalize_targets must be a bool"),
         ("max_features", True, "max_features must be"),
-        ("max_features", np.False_, "max_features must be"),
+        # values without a printable id get one of their own, which no other entry's removal renumbers
+        pytest.param("max_features", np.False_, "max_features must be", id="max_features-value5-max_features must be"),
         ("max_features", None, "max_features must be"),
-        ("max_features", [0.5], "max_features must be"),
+        pytest.param("max_features", [0.5], "max_features must be", id="max_features-value7-max_features must be"),
     ],
 )
 def test_config_rejects_non_bool_flags(field, value, message):
@@ -415,11 +419,11 @@ def test_config_rejects_non_bool_flags(field, value, message):
 
 
 def test_config_takes_numpy_bools_as_bools(tmp_path):
-    config = ForestConfig(n_estimators=2, bootstrap=np.False_, normalize_targets=np.True_)
-    assert type(config.bootstrap) is bool and type(config.normalize_targets) is bool
+    config = ForestConfig(n_estimators=2, bootstrap=np.False_)
+    assert type(config.bootstrap) is bool
     path = tmp_path / "m.model"
     save(fit(make_synthetic(20, 2, 1, seed=0), config), path)
-    assert load(path).config == ForestConfig(n_estimators=2, bootstrap=False, normalize_targets=True)
+    assert load(path).config == ForestConfig(n_estimators=2, bootstrap=False)
 
 
 def test_config_takes_numpy_integers_as_ints(tmp_path):
@@ -468,6 +472,19 @@ def test_save_writes_the_golden_v3_file(tmp_path, monkeypatch):
     for forest in (golden_forest(), load(GOLDEN_V3), load(GOLDEN_V2)):  # from v3, and from v2
         save(forest, path)
         assert path.read_bytes() == GOLDEN_V3.read_bytes()
+
+
+def test_file_with_the_retired_key_at_false_loads_the_same_forest(tmp_path):
+    """Every file saved before ``normalize_targets`` was retired holds it as false,
+    as the golden v2 file does: the key is dropped on read."""
+    assert unzip_model(GOLDEN_V2.read_bytes())[0]["config"]["normalize_targets"] is False
+    header, arrays = unzip_model(GOLDEN_V3.read_bytes())
+    assert list(header["config"]) == [field.name for field in dataclasses.fields(ForestConfig)]
+    path = tmp_path / "old.model"
+    path.write_bytes(zip_model({**header, "config": {**header["config"], "normalize_targets": False}}, arrays))
+    assert_same_forest(load(path), golden_forest())
+    save(load(path), path)
+    assert path.read_bytes() == GOLDEN_V3.read_bytes()
 
 
 def test_load_of_save_is_the_same_forest(tmp_path, rng):
@@ -992,6 +1009,103 @@ def test_fit_splits_two_neighbouring_values_at_the_lower(case):
         assert explain(forest, row, AllowedError.global_mean(0.1)).rule.contains(row).all()
 
 
+def scaled_targets(scales) -> Dataset:
+    """``make_synthetic(40, 3, 2, seed=1)`` with each target column multiplied by its scale."""
+    data = make_synthetic(40, 3, 2, seed=1)
+    return Dataset(data.features, data.targets * np.asarray(scales), data.feature_names, data.target_names)
+
+
+# scales at which the split sums overflow: 1e153 left 20 one-leaf trees and 175 RuntimeWarnings,
+# and 1e307 raised "ModelError: tree 0: non-finite threshold or value", a model blamed for valid data
+@pytest.mark.parametrize(
+    "scales, column", [((1e153, 1e153), "t0"), ((1e307, 1e307), "t0"), ((1.0, 1e307), "t1")], ids=str
+)
+def test_fit_refuses_targets_whose_split_sums_overflow(scales, column):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetError, match=f"^target column '{column}': values up to .* overflow") as raised:
+            fit(scaled_targets(scales), ForestConfig(n_estimators=20, min_samples_leaf=2))
+    assert len(str(raised.value).splitlines()) == 1
+
+
+def test_fit_takes_targets_within_a_factor_of_two_of_the_overflow_bound():
+    # a power of two that keeps m * (n * max|y|)**2 finite: the trees are the unscaled ones, values scaled
+    data = make_synthetic(40, 3, 2, seed=1)
+    scale = 2.0 ** math.floor(math.log2(np.sqrt(np.finfo(float).max / 2) / 40 / np.abs(data.targets).max()))
+    config = ForestConfig(n_estimators=20, min_samples_leaf=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big, plain = fit(scaled_targets([scale, scale]), config), fit(data, config)
+    for name in ("feature", "threshold", "left", "right"):
+        np.testing.assert_array_equal(getattr(big, name), getattr(plain, name))
+    np.testing.assert_array_equal(big.value, plain.value * scale)
+
+
+# bases of the property's columns: zero, ordinary, subnormal and large values, and the float limit;
+# the target columns draw less often from those whose split sums overflow (1e154 and above for 12 rows)
+LIMIT = np.finfo(float).max
+FEATURE_BASES = [0.0, 1.0, -2.5, 5e-324, 1e300, 1.5e308, -LIMIT, LIMIT]
+TARGET_BASES = [0.0, 1.0, -2.5, 5e-324, 1e150, 1e150, 1e154, LIMIT]
+
+
+@st.composite
+def extreme_columns(draw, n, bases):
+    """A column of values that tie, neighbour each other, or are all one value."""
+    base = draw(st.sampled_from(bases))
+    if draw(st.integers(0, 3)) == 0:
+        return np.full(n, base)
+    values = []
+    cells = st.tuples(st.sampled_from([1.0, 0.5, -1.0]), st.integers(0, 2))
+    for factor, steps in draw(st.lists(cells, min_size=n, max_size=n)):
+        value = base * factor
+        for _ in range(steps):  # adjacent floats, towards zero at the limit
+            value = np.nextafter(value, 0.0 if abs(value) > 1e308 else np.inf)
+        values.append(value)
+    return np.array(values)
+
+
+@st.composite
+def extreme_datasets(draw):
+    min_leaf = draw(st.integers(1, 4))
+    n = draw(st.integers(min_leaf, 12))  # below 2 x min leaf too, where no node splits
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    X = np.column_stack([draw(extreme_columns(n, FEATURE_BASES)) for _ in range(d)])
+    Y = np.column_stack([draw(extreme_columns(n, TARGET_BASES)) for _ in range(m)])
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))  # repeats rows
+    config = ForestConfig(
+        n_estimators=3,
+        min_samples_leaf=min_leaf,
+        max_features=draw(st.sampled_from(["all", "sqrt"])),
+        bootstrap=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    data = Dataset(X[rows], Y[rows], [f"f{j}" for j in range(d)], [f"t{j}" for j in range(m)])
+    return data, config
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=extreme_datasets(), budget=st.sampled_from([0.0, 0.5, 1e300]))
+def test_fit_on_extreme_data_builds_a_sound_forest_or_refuses_in_one_line(case, budget):
+    data, config = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            forest = fit(data, config)
+        except DatasetError as exc:
+            assert len(str(exc).splitlines()) == 1
+            return
+        assert np.isfinite(predict_batch(forest, data.features)).all()
+        leaves = np.flatnonzero(forest.feature == LEAF)
+        tree_of = np.searchsorted(forest.roots, leaves, side="right") - 1
+        for t in range(forest.n_trees):  # every leaf holds at least min leaf of its tree's training rows
+            rng = np.random.default_rng([config.seed, t])
+            rows = rng.integers(0, data.n, size=data.n) if config.bootstrap else np.arange(data.n)
+            counts = np.bincount(forest.walk(data.features[rows])[t], minlength=forest.feature.shape[0])
+            assert (counts[leaves[tree_of == t]] >= config.min_samples_leaf).all()
+        for x in data.features[:2]:
+            assert explain(forest, x, AllowedError.global_mean(budget)).rule.contains(x).all()
+
+
 def test_min_samples_leaf_too_large():
     ds = two_point_dataset()
     with pytest.raises(ModelError):
@@ -1000,10 +1114,10 @@ def test_min_samples_leaf_too_large():
 
 # Reference grower: one split scan per candidate feature and a recursive build,
 # kept as the oracle the vectorised grower must match array for array.
-def _reference_best_split(X, Y, candidates, min_leaf, target_scale):
+def _reference_best_split(X, Y, candidates, min_leaf):
     n = X.shape[0]
     col_sum = Y.sum(axis=0)
-    parent_sse = ((Y * Y).sum(axis=0) - col_sum * col_sum / n) / target_scale
+    parent_sse = (Y * Y).sum(axis=0) - col_sum * col_sum / n
     parent = parent_sse.sum()
     best = (None, None, 0.0)
     for f in candidates:
@@ -1022,8 +1136,8 @@ def _reference_best_split(X, Y, candidates, min_leaf, target_scale):
         right_n = n - left_n
         left_sum = cum[pos]
         right_sum = col_sum - left_sum
-        left_sse = (cum_sq[pos] - left_sum * left_sum / left_n[:, None]) / target_scale
-        right_sse = (cum_sq[-1] - cum_sq[pos] - right_sum * right_sum / right_n[:, None]) / target_scale
+        left_sse = cum_sq[pos] - left_sum * left_sum / left_n[:, None]
+        right_sse = cum_sq[-1] - cum_sq[pos] - right_sum * right_sum / right_n[:, None]
         gains = parent - left_sse.sum(axis=1) - right_sse.sum(axis=1)
         k = int(np.argmax(gains))
         if gains[k] > best[2]:
@@ -1034,10 +1148,8 @@ def _reference_best_split(X, Y, candidates, min_leaf, target_scale):
     return best
 
 
-def _reference_grow_tree(X, Y, config, rng, target_scale, buffers):
+def _reference_grow_tree(X, Y, config, rng, buffers):
     del buffers  # the reference builds its own arrays
-    if target_scale is None:
-        target_scale = np.ones(Y.shape[1])
     d = X.shape[1]
     k_feats = config.features_per_split(d)
     feature, threshold, left, right, value = [], [], [], [], []
@@ -1060,7 +1172,7 @@ def _reference_grow_tree(X, Y, config, rng, target_scale, buffers):
                 cand = np.arange(d)
             else:
                 cand = np.sort(rng.choice(d, size=k_feats, replace=False))
-            f, thr, gain = _reference_best_split(sub_x, sub_y, cand, config.min_samples_leaf, target_scale)
+            f, thr, gain = _reference_best_split(sub_x, sub_y, cand, config.min_samples_leaf)
             if f is not None and gain > 0.0:
                 feature[node] = f
                 threshold[node] = thr
@@ -1141,7 +1253,6 @@ ORACLE_CASES = {
     "constant_targets": (constant_targets, dict(max_features="all")),
     "one_target": (lambda: rounded(80, 9, 1, 4, 0.1, 0.1), dict(min_samples_leaf=2)),
     "wide_targets": (lambda: rounded(60, 5, 9, 5, 0.5, 0.5), dict(max_features="all")),
-    "normalize": (lambda: rounded(100, 5, 3, 6, 0.5, 0.25), dict(normalize_targets=True, min_samples_leaf=2)),
     "depth_0": (lambda: make_synthetic(60, 4, 2, seed=7), dict(max_depth=0)),
     "depth_3": (lambda: rounded(100, 6, 2, 8), dict(max_depth=3, max_features=0.5)),
     "leaf_above_half_n": (lambda: make_synthetic(30, 4, 2, seed=9), dict(min_samples_leaf=16)),
@@ -1165,17 +1276,15 @@ def test_fit_matches_reference_grower(case, monkeypatch):
     seed=st.integers(0, 2**16),
     min_leaf=st.integers(1, 7),
     max_features=st.sampled_from(["sqrt", "all", 0.5]),
-    normalize=st.booleans(),
     bootstrap=st.booleans(),
     step=st.sampled_from([0.25, 0.5, 1.0]),
 )
-def test_fit_matches_reference_grower_on_tied_data(seed, min_leaf, max_features, normalize, bootstrap, step, monkeypatch):
+def test_fit_matches_reference_grower_on_tied_data(seed, min_leaf, max_features, bootstrap, step, monkeypatch):
     data = rounded(40, 5, 2, seed, step, step)
     config = ForestConfig(
         n_estimators=3,
         min_samples_leaf=min_leaf,
         max_features=max_features,
-        normalize_targets=normalize,
         bootstrap=bootstrap,
         seed=seed,
     )

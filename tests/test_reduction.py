@@ -842,6 +842,29 @@ def test_check_conclusive_does_not_sample(rng, monkeypatch):
         np.testing.assert_array_equal(getattr(one, field), getattr(many, field))
 
 
+@pytest.mark.parametrize("m, n_trees", [(1, 7), (1, 40), (3, 9), (3, 40)])
+def test_check_conclusive_takes_the_prediction_from_the_reduction(m, n_trees, monkeypatch):
+    """The report is the one a second walk of ``x`` down the forest gave, bit
+    for bit, with no such walk: the reduction already holds ``x``'s prediction."""
+    data = make_synthetic(150, 5, m, seed=m)
+    forest = fit(data, ForestConfig(n_estimators=n_trees, min_samples_leaf=3, seed=4))
+    cases = []
+    for x in data.features[:12]:
+        for budget in (0.0, 0.2, 1.0):
+            result = explain(forest, x, AllowedError.global_mean(budget))
+            cases.append((x, result.rule, result.reduction, predict(forest, x)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_conclusive walked x down the forest again")
+
+    monkeypatch.setattr(reduction_module, "predict", refuse)
+    for x, rule, reduction, original in cases:
+        report = check_conclusive(rule, reduction, forest, x)
+        np.testing.assert_array_equal(reduction.original_prediction, original)
+        expected = np.maximum(report.upper - original, original - report.lower)
+        np.testing.assert_array_equal(report.max_deviation, expected)
+
+
 def test_kept_trees_stay_pinned(rng):
     forest, x, paths = forest_and_paths(rng, n_trees=8, d=4, depth=4)
     reduction = reduce_paths(paths, mine(paths), AllowedError.global_mean(0.5), forest)
