@@ -35,36 +35,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_at_least(low: int):
-    """An argparse type for integers >= ``low``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    return parse
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
 
 
-def _precision(text: str) -> int:
-    """An argparse type for a rendering precision in [0, MAX_PRECISION]."""
-    if _int_at_least(0)(text) > MAX_PRECISION:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_PRECISION}, got {text}")
-    return int(text)
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
 
 
-def _float_where(ok, requirement: str):
-    """An argparse type for floats that satisfy ``ok``; ``requirement`` names the range."""
+def _checked(read, ok, requirement: str):
+    """An argparse type for the values ``read`` gives that satisfy ``ok``; ``requirement`` names the range."""
 
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    def parse(text: str):
+        value = read(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
         return value
@@ -72,8 +61,13 @@ def _float_where(ok, requirement: str):
     return parse
 
 
-_fraction = _float_where(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-_non_negative = _float_where(lambda v: v >= 0.0, ">= 0")
+def _int_at_least(low: int):
+    return _checked(_integer, lambda v: v >= low, f">= {low}")
+
+
+_precision = _checked(_int_at_least(0), lambda v: v <= MAX_PRECISION, f"<= {MAX_PRECISION}")
+_fraction = _checked(_number, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_non_negative = _checked(_number, lambda v: v >= 0.0, ">= 0")
 
 
 def _max_features(text: str) -> str | float:
@@ -94,7 +88,7 @@ def _float_list(item):
 
 
 _budgets = _float_list(_non_negative)
-_finite_numbers = _float_list(_float_where(math.isfinite, "finite"))
+_finite_numbers = _float_list(_checked(_number, math.isfinite, "finite"))
 
 
 def _synthetic_shape(text: str) -> tuple[int, ...]:
@@ -345,8 +339,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("explain", help="produce a conclusive rule for one instance")
     p.add_argument("--model", required=True)
-    p.add_argument("--instance", type=_finite_numbers, help="inline comma-separated feature values")
-    p.add_argument("--instance-index", type=int, help="row index into --data")
+    instance = p.add_mutually_exclusive_group()
+    instance.add_argument("--instance", type=_finite_numbers, help="inline comma-separated feature values")
+    instance.add_argument("--instance-index", type=_integer, help="row index into --data")
     _add_data_flags(p, required=False)
     p.add_argument("--allowed-error", type=_budgets, help="one value (global) or one per target")
     p.add_argument("--scheme", choices=["global", "per-target"])
@@ -398,6 +393,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        dropped = [key for key, value in vars(args).items() if value == []]
+        if dropped:  # argparse before Python 3.12.7 drops the value of "--flag=--", leaving []
+            raise UsageError(f"argument --{dropped[0].replace('_', '-')}: expected one argument")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

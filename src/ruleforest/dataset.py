@@ -114,10 +114,10 @@ def load_csv(path, target_columns, missing_policy: str = "zero_fill") -> Dataset
             raise DatasetError(f"{path}: column {repeated!r} appears more than once in the header")
         for name in target_columns:
             if name not in header:
-                raise DatasetError(f"unknown target column {name!r}")
+                raise DatasetError(f"{path}: unknown target column {name!r}")
         feature_names = [name for name in header if name not in target_columns]
         if not feature_names:
-            raise DatasetError("no feature columns left after removing targets")
+            raise DatasetError(f"{path}: no feature columns left after removing targets")
         col_of = {name: i for i, name in enumerate(header)}
 
         parsed = []
@@ -169,6 +169,8 @@ def _numbered_rows(reader, path):
             start = reader.line_num + 1
     except csv.Error as exc:  # a cell longer than the csv module's field limit, for one
         raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:  # the decoder reads ahead a chunk at a time, so no line is named
+        raise DatasetError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
 
 
 def save_csv(dataset: Dataset, path) -> None:

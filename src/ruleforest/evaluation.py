@@ -137,7 +137,10 @@ def make_synthetic(n: int, d: int, m: int, noise: float = 0.1, seed: int = 0) ->
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n, d))
     weights = rng.standard_normal((d, m))
-    targets = features @ weights + noise * rng.standard_normal((n, m))
+    with np.errstate(over="ignore"):  # refused below, with the flag's value rather than numpy's warning
+        targets = features @ weights + noise * rng.standard_normal((n, m))
+    if not np.isfinite(targets).all():
+        raise ValueError(f"noise {noise:g} overflows the targets")
     return Dataset(
         features,
         targets,

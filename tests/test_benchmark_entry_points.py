@@ -2,8 +2,10 @@
 (``benchmark/workloads.ENTRY_POINTS``); a name that a refactor drops would
 break every traced run, so each one must still resolve. Its checks and
 observers also read the library's objects by attribute, so they must still
-run on what the library returns."""
+run on what the library returns; and a whole traced run, at the smoke
+test's tiny sizes, must finish with every result correct."""
 
+import json
 import os
 from pathlib import Path
 
@@ -91,3 +93,18 @@ def test_explain_looks_up_mine_on_the_paths_module_at_call_time(monkeypatch):
     result = explain(forest, data.features[0], AllowedError.global_mean(0.3))
     assert len(calls) == 1
     assert calls[0][0] is result.paths
+
+
+@pytest.mark.parametrize("name", ["explain-sweep", "cli-session"])
+def test_traced_run_exits_cleanly(workloads, monkeypatch, capsys, name):
+    """A run fails as a whole, exit 1 from ``python3 benchmark/run.py``, only
+    on an exception outside a timed operation: a traced name that no longer
+    resolves, a failed set-up, a check reading an attribute the library lost."""
+    import run
+    from test_benchmark import TINY
+
+    monkeypatch.setitem(workloads.WORKLOADS, name, TINY[name])
+    code = run.main(["--workload", name, "--seed", "3", "--seconds", "0", "--trace", "1"])
+    out, err = capsys.readouterr()
+    result = json.loads(out.strip().splitlines()[-1])
+    assert (code, result["correct"], result["failed"]) == (0, True, 0), err

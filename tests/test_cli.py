@@ -1,12 +1,16 @@
+import argparse
 import json
 import re
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ruleforest.cli as cli_module
-from ruleforest import Dataset, ForestConfig, load, load_csv, make_synthetic, save, save_csv
+from ruleforest import Dataset, ForestConfig, fit, load, load_csv, make_synthetic, save, save_csv
 from ruleforest.cli import main
 from ruleforest.forest import LEAF
 from ruleforest.reduction import MAX_PRECISION
@@ -311,6 +315,9 @@ RANGE_CASES = {
     "bench_noise_negative": ["bench", "--noise", "-1"],
     "bench_allowed_errors_empty": ["bench", "--allowed-errors", ","],
     "bench_allowed_errors_descending": ["bench", "--allowed-errors", "0.3,0.1"],
+    # given as --flag=--, whose value argparse before Python 3.12.7 drops
+    "train_estimators_double_dash": ["train", "--estimators", "--"],
+    "explain_instance_double_dash": ["explain", "--instance", "--"],
 }
 
 
@@ -338,6 +345,34 @@ def test_precision_above_max_fails_at_parse_time(capsys, monkeypatch, precision)
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
     assert err == f"error: argument --precision: must be <= {MAX_PRECISION}, got {precision}\n"
+
+
+def test_out_of_range_integer_echoes_its_text(capsys):
+    argv = ["train", "--data", "d.csv", "--targets", "t", "--out", "m.model", "--estimators", "0_0"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: argument --estimators: must be >= 1, got 0_0\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["inspect", "--model=--"], ["train", "--data=--", "--targets", "t", "--out", "m.model"]]
+)
+def test_double_dash_as_a_path_fails_with_one_line(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    # argparse before Python 3.12.7 drops the value, a usage error; later ones read a file named --
+    assert code in (1, 2) and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("noise", ["1e308", "inf"])
+def test_bench_noise_that_overflows_the_targets_is_data_error(capsys, noise):
+    argv = ["bench", "--synthetic", "1,4,2", "--noise", noise, "--estimators", "1", "--allowed-errors", "0",
+            "--instances", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: noise {float(noise):g} overflows the targets\n"
 
 
 def test_non_numeric_instance_is_usage_error_naming_the_value(workspace, capsys):
@@ -650,3 +685,149 @@ def test_repeat_runs_byte_identical(workspace, capsys):
         return [l for l in text.splitlines() if "elapsed_seconds" not in l]
 
     assert strip_timing(out1) == strip_timing(out2)
+
+
+def test_instance_and_instance_index_are_exclusive(workspace, capsys, monkeypatch):
+    _, data, model = workspace
+    monkeypatch.setattr(cli_module, "load", lambda path: pytest.fail("the model was loaded"))
+    argv = ["explain", "--model", str(model), "--instance", "0.1,0.2,0.3,0.4", "--instance-index", "5",
+            "--data", str(data), "--targets", "t0,t1", "--allowed-error", "0.5"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: argument --instance-index: not allowed with argument --instance"]
+
+
+def test_csv_that_is_not_utf8_is_data_error(capsys, tmp_path):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"a,t\n1,2\n\xff\xfe,3\n")
+    code, out, err = run(capsys, ["train", "--data", str(data), "--targets", "t", "--out", str(tmp_path / "m.model")])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {data}: not UTF-8 text (byte 0xff: invalid start byte)"]
+    assert not (tmp_path / "m.model").exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_workspace(tmp_path_factory):
+    """A 40-row CSV and a 3-tree model trained on it, plus inputs that are not
+    what their flag wants: a missing file, a folder, a CSV that is not UTF-8."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data = make_synthetic(40, 3, 2, seed=4)
+    save_csv(data, root / "data.csv")
+    save(fit(data, ForestConfig(n_estimators=3, seed=1)), root / "m.model")
+    (root / "latin1.csv").write_bytes(b"f0,f1,f2,t0,t1\n1,2,3,4,\xe9\n")
+    return root
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+def _lists(items, min_size, max_size):
+    return st.lists(items, min_size=min_size, max_size=max_size).map(",".join)
+
+
+JUNK = st.sampled_from(["", " ", "x", "1.5", "-1", "nan", "inf", "-inf", "1e309", "0x1", "0_1", "--", "1,2"])
+
+
+def _flag_values(root):
+    """Per flag (argparse dest), the value texts a draw picks from: valid
+    ones, then others. Every size is small, so no draw starts a large fit."""
+    inputs = [root / name for name in ("m.model", "latin1.csv", "missing.csv", "")]
+    outputs = [root / name for name in ("no-dir/out", "")]
+    budgets = st.sampled_from(["0", "0.1", "0.5", "2"])
+    return {
+        "estimators": (_ints(1, 3), _ints(-1, 0)),
+        "max_depth": (_ints(0, 4), _ints(-2, -1)),
+        "min_leaf": (_ints(1, 50), _ints(-1, 0)),
+        "max_features": (st.sampled_from(["all", "sqrt", "0.5", "1"]), st.sampled_from(["log2", "0", "1.5", "nan"])),
+        "no_bootstrap": (st.none(), st.none()),
+        "seed": (_ints(0, 5), st.just("-1")),
+        "data": (st.just(str(root / "data.csv")), st.sampled_from(inputs).map(str)),
+        "targets": (st.sampled_from(["t0,t1", "t1,t0"]), st.sampled_from(["t0", "f0", "t0,t0", "t0,", "nope", ""])),
+        "missing": (st.sampled_from(["zero", "drop", "error"]), st.just("fill")),
+        "out": (st.sampled_from(["out.model", "out.csv"]).map(lambda name: str(root / name)),
+                st.sampled_from([root, *outputs]).map(str)),
+        "model": (st.just(str(root / "m.model")), st.sampled_from([root / "data.csv", root / "out.model", *inputs]).map(str)),
+        "instance": (_lists(st.sampled_from(["0", "-1.5", "0.25", "3"]), 3, 3),
+                     _lists(st.sampled_from(["0", "nan", "inf", "x", ""]), 0, 4)),
+        "instance_index": (_ints(0, 39), st.sampled_from(["-1", "40", "1.0"])),
+        "allowed_error": (_lists(budgets, 1, 2), _lists(st.sampled_from(["-1", "nan", "inf", "x", ""]), 0, 3)),
+        "allowed_errors": (_lists(budgets, 1, 3), _lists(st.sampled_from(["-1", "nan", "inf", "x", ""]), 0, 3)),
+        "scheme": (st.sampled_from(["global", "per-target"]), st.just("mean")),
+        "min_support": (st.sampled_from(["0.1", "0.5", "1"]), st.sampled_from(["0", "1.5", "-1", "nan"])),
+        "precision": (_ints(0, 4), st.sampled_from(["-1", str(MAX_PRECISION), str(MAX_PRECISION + 1), "3000000000"])),
+        "check_conclusive": (_ints(1, 3), _ints(-1, 0)),
+        "report": (st.just(str(root / "report.json")), st.sampled_from([root, *outputs]).map(str)),
+        "folds": (_ints(2, 5), _ints(-1, 1)),
+        "synthetic": (st.tuples(_ints(1, 40), _ints(1, 4), _ints(1, 2)).map(",".join),
+                      st.tuples(_ints(-1, 40), _ints(0, 4), _ints(0, 2)).map(",".join)),
+        "noise": (st.sampled_from(["0", "0.1", "1"]), st.sampled_from(["-1", "nan", "inf", "1e308"])),
+        "instances": (_ints(1, 3), _ints(-1, 0)),
+    }
+
+
+ALWAYS_GIVEN = {"estimators", "folds", "instances"}  # their defaults fit or explain too much for a fuzz
+
+
+@st.composite
+def cli_argv(draw, root):
+    """A command line drawn from ``build_parser()``'s own subcommands and
+    actions: each flag missing, given once or repeated, with a valid or an
+    invalid value, in any order; now and then a help, version or unknown
+    flag. Many draws are valid throughout, so they reach the commands."""
+    parser = cli_module.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command = draw(st.sampled_from(sorted(commands.choices)))
+    subparser = commands.choices[command]
+    values = _flag_values(root)
+    faults = draw(st.sampled_from([0, 0, 5, 30]))  # the percentage of flags given a wrong value or count
+    exclusive = {action for group in subparser._mutually_exclusive_groups for action in group._group_actions}
+    chosen = {draw(st.sampled_from(group._group_actions)) for group in subparser._mutually_exclusive_groups}
+    groups = []
+    for action in subparser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        wrong = draw(st.integers(0, 99)) < faults
+        if action in exclusive and not wrong:
+            count = int(action in chosen)
+        elif action.dest in ALWAYS_GIVEN or action.required:
+            count = draw(st.sampled_from([0, 2])) if wrong and action.dest not in ALWAYS_GIVEN else 1
+        else:
+            count = draw(st.sampled_from([0, 1, 2] if wrong else [0, 1]))
+        for _ in range(count):
+            flag = draw(st.sampled_from(action.option_strings))
+            valid, invalid = values[action.dest]
+            wrong = draw(st.integers(0, 99)) < faults
+            value = draw(st.one_of(invalid, JUNK) if wrong else valid) if action.nargs != 0 else None
+            if value is None:
+                groups.append([flag])
+            else:
+                groups.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    if faults:
+        groups += draw(st.lists(st.sampled_from([["--help"], ["-h"], ["--bogus"], ["--bogus", "1"]]), max_size=1))
+    argv = [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+    return argv if not faults else draw(st.sampled_from([argv] * 7 + [["--version"], [], ["nope"]]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_exits_cleanly(fuzz_workspace, capsys, monkeypatch, data):
+    """Every command line gives exit 0, or 1 or 2 with empty stdout and one
+    stderr line; a warning fails the run as an exception would."""
+    monkeypatch.chdir(fuzz_workspace)  # a drawn relative --out or --report lands in the workspace
+    argv = data.draw(cli_argv(fuzz_workspace))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help and --version
+            code = exc.code
+            assert code == 0
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n")

@@ -182,3 +182,70 @@ def test_non_finite_cell_names_its_file_line_and_column(tmp_path, cell):
         load_csv(path, ["t"])
     assert str(raised.value) == f"{path}:4: non-finite value {cell.strip()!r} in column 't'"
 
+
+
+def test_csv_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"a,t\n1,2\n\xff\xfe,3\n")
+    with pytest.raises(DatasetError) as raised:
+        load_csv(path, ["t"])
+    assert str(raised.value) == f"{path}: not UTF-8 text (byte 0xff: invalid start byte)"
+
+
+# cells a mutated CSV draws from: numbers, blanks, non-finite and non-numeric
+# text, quoted cells (one spanning lines) and bytes that are not UTF-8
+CELLS = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
+    st.sampled_from(["", " ", "nan", " NaN ", "inf", "-Infinity", "1e309", "-1e309", "x", "1_0", "0x10"]),
+    st.sampled_from(['"1"', '"1\n2"', '"1,2"', '"\r\n"', '"', '"a""b"', '1"2']),
+    st.sampled_from(["\xff", "\xfe\xff", "\xc3", "\xc3\x28", "\x00"]).map(lambda s: s.encode("latin-1")),
+)
+
+
+def _cell_bytes(cell):
+    return cell if isinstance(cell, bytes) else cell.encode("utf-8")
+
+
+@st.composite
+def mutated_csv(draw):
+    """A small CSV over columns a, b, t, then mutated: ragged rows, odd cells,
+    blank lines, CRLF, a byte-order mark, and one byte inserted anywhere."""
+    header = draw(st.lists(st.sampled_from(["a", "b", "t", "", " t", "a"]), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        header = ["a", "b", "t"]
+    width = len(header)
+    rows = draw(
+        st.lists(
+            st.one_of(
+                st.lists(st.integers(-9, 9).map(str), min_size=width, max_size=width),
+                st.lists(CELLS, min_size=width, max_size=width),
+                st.lists(CELLS, max_size=width + 1),  # ragged, or blank
+            ),
+            max_size=5,
+        )
+    )
+    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    lines = [b",".join(_cell_bytes(c) for c in row) for row in [header, *rows]]
+    text = newline.join(lines) + draw(st.sampled_from([b"", newline, newline * 2]))
+    if draw(st.booleans()):
+        text = b"\xef\xbb\xbf" + text
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + bytes([draw(st.integers(0, 255))]) + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=mutated_csv(), policy=st.sampled_from(["zero_fill", "drop_row", "error"]))
+def test_mutated_csv_loads_finite_or_fails_with_one_line(tmp_path_factory, content, policy):
+    path = tmp_path_factory.getbasetemp() / "mutated.csv"
+    path.write_bytes(content)
+    try:
+        ds = load_csv(path, ["t"], policy)
+    except DatasetError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}") and "\n" not in message and "\r" not in message, message
+    else:
+        assert ds.n >= 1 and ds.target_names == ("t",) and "t" not in ds.feature_names
+        assert np.isfinite(ds.features).all() and np.isfinite(ds.targets).all()
